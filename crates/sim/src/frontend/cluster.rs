@@ -1,9 +1,11 @@
 //! The clustered request plane: live connections homed, served, and
 //! re-homed across N boards.
 //!
-//! `Run::frontend(cfg).cluster(topology).execute(Live)` drives the same
-//! board-agnostic connection reactor as the single-board front end, with
-//! the cluster driver below supplying the board side:
+//! `Run::frontend(cfg).cluster(topology).execute(Live)` drives the
+//! board-agnostic connection reactor with the driver below supplying the
+//! board side. The driver runs over a slice of board kernels; the plain
+//! `Run::frontend(cfg)` is the same driver over one board with no
+//! stations. On a cluster:
 //!
 //! * **Homing** — a new connection's [`Frame::Hello`] is routed to a home
 //!   board by the topology's [`HomingPolicy`]: `hash-by-client` hashes the
@@ -33,25 +35,20 @@
 
 use super::reactor::{run_reactor, through_wire, BoardDriver, Conn, ReqGen};
 use super::{FrontendConfig, FrontendResult};
+use crate::board::BoardSim;
 use crate::cluster::{ClusterConfig, HomingPolicy};
-use crate::des_runner::{DemandTap, DesConfig};
-use crate::stations::{station_walk, SharedStations, StationWaits};
-use crate::{Mechanism, SimConfig};
+use crate::des_runner::DesConfig;
+use crate::stations::SharedStations;
+use crate::{Mechanism, RunError, SimConfig};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::rc::Rc;
-use utlb_core::obs::{Event, Histogram, Metrics, Probe, SharedCollector, WaitResource};
-use utlb_core::{
-    page_demands_into, CacheStats, LookupBatch, OutcomeBuf, PageDemand, TranslationMechanism,
-    TranslationStats,
-};
-use utlb_des::{AdmissionStats, CreditWindow, DmaEngineModel, Resource, ResourceReport};
+use utlb_core::obs::{Event, Histogram, Metrics};
+use utlb_core::{CacheStats, LookupBatch, OutcomeBuf, TranslationMechanism, TranslationStats};
+use utlb_des::{AdmissionStats, CreditWindow, ResourceReport};
 use utlb_mem::{Host, ProcessId, VirtAddr, PAGE_SIZE};
 use utlb_msg::{Frame, FRAME_BYTES};
-use utlb_nic::{Board, Nanos};
-
-/// Per-process event-ring capacity of the per-board collectors.
-const FRONTEND_OBS_RING: usize = 32;
+use utlb_nic::Nanos;
 
 /// Multiplier of the Fibonacci-hash home-board assignment
 /// (`hash-by-client`): `home = (index * PHI64 >> 32) % nodes`. The
@@ -65,43 +62,28 @@ pub(crate) fn hash_home(index: u64, nodes: usize) -> usize {
     ((index.wrapping_mul(HOME_HASH_MULT) >> 32) as usize) % nodes
 }
 
-/// One board of the clustered front end: private engine, firmware, and
-/// DMA engine, plus the per-board accounting the result cells report.
-struct FrontBoard {
-    engine: Box<dyn TranslationMechanism>,
-    board: Board,
-    firmware: Resource,
-    dma: DmaEngineModel,
-    tap_buf: Rc<RefCell<Vec<Event>>>,
-    collector: SharedCollector,
-    wait_probe: Option<Box<dyn Probe>>,
-    t0: Nanos,
-    /// Latest *serial* translation completion on this board.
-    last_service: Nanos,
-    /// Latest station (DES) completion on this board.
-    des_end: Nanos,
+/// One board's front-end tally: what its result cell reports beyond the
+/// kernel's own state.
+#[derive(Debug, Default)]
+struct Tally {
     open_conns: usize,
     accepted: u64,
     redirected_in: u64,
     refusals: u64,
     served: u64,
+    /// Counters of every connection closed here (snapshotted at close).
     stats_acc: TranslationStats,
-    latency: Histogram,
-    waits: StationWaits,
 }
 
-/// The N-board side of the reactor. See the [module docs](self).
-struct ClusterDriver<'a> {
-    fcfg: &'a FrontendConfig,
+/// The board side of the reactor, over any number of boards. See the
+/// [module docs](self).
+struct LiveDriver<'d, 'e, M: ?Sized> {
+    fcfg: &'d FrontendConfig,
     policy: HomingPolicy,
-    nodes: usize,
     host: Host,
-    boards: Vec<FrontBoard>,
-    shared: SharedStations,
-    kernel_pins: bool,
+    boards: &'d mut [BoardSim<'e, M>],
+    tally: Vec<Tally>,
     out: OutcomeBuf,
-    events_scratch: Vec<Event>,
-    demands: Vec<PageDemand>,
     /// Reused candidate-order scratch (O(nodes), no per-open allocation).
     order: Vec<usize>,
     spawned: u32,
@@ -113,83 +95,27 @@ struct ClusterDriver<'a> {
     redirects: u64,
 }
 
-impl ClusterDriver<'_> {
+impl<M: TranslationMechanism + ?Sized> LiveDriver<'_, '_, M> {
     /// Fills `self.order` with the candidate boards for connection
     /// `index`, first choice first.
     fn candidate_order(&mut self, index: u64) {
+        let nodes = self.boards.len();
         self.order.clear();
         match self.policy {
             HomingPolicy::HashByClient => {
-                let home = hash_home(index, self.nodes);
-                self.order
-                    .extend((0..self.nodes).map(|k| (home + k) % self.nodes));
+                let home = hash_home(index, nodes);
+                self.order.extend((0..nodes).map(|k| (home + k) % nodes));
             }
             HomingPolicy::LeastLoaded => {
-                self.order.extend(0..self.nodes);
-                let boards = &self.boards;
-                self.order.sort_by_key(|&i| (boards[i].open_conns, i));
+                self.order.extend(0..nodes);
+                let tally = &self.tally;
+                self.order.sort_by_key(|&i| (tally[i].open_conns, i));
             }
         }
-    }
-
-    /// Prices board work that ran on the serial board clock between `pre`
-    /// and now — a (possibly failed) registration or an unregistration —
-    /// onto the board's firmware station and the shared stations, keeping
-    /// the station timeline in lock-step with the serial clock. The tap's
-    /// drained events supply the pin/interrupt/DMA components; the serial
-    /// delta is the total, so pure-firmware admin time is charged too.
-    /// Under zero contention the resulting grant ends exactly at the
-    /// serial clock, preserving the 1-board bit-exactness induction.
-    fn price_admin_from(&mut self, ix: usize, pid: ProcessId, pre: Nanos) {
-        let Self {
-            boards,
-            shared,
-            kernel_pins,
-            events_scratch,
-            demands,
-            ..
-        } = self;
-        let b = &mut boards[ix];
-        events_scratch.clear();
-        std::mem::swap(&mut *b.tap_buf.borrow_mut(), &mut *events_scratch);
-        page_demands_into(events_scratch, demands);
-        let mut d = PageDemand::default();
-        for p in demands.iter() {
-            d.pin_ns += p.pin_ns;
-            d.intr_ns += p.intr_ns;
-            d.dma_ns += p.dma_ns;
-            d.dma_entries += p.dma_entries;
-        }
-        d.total_ns = (b.board.clock.now() - pre).as_nanos();
-        if d.total_ns == 0 && d.is_fast_path() {
-            return; // No work: don't pollute station job counts.
-        }
-        let admin = [d];
-        let FrontBoard {
-            firmware,
-            dma,
-            wait_probe,
-            waits,
-            ..
-        } = b;
-        let grant = firmware.acquire_with(pre, |start| {
-            station_walk(
-                start,
-                &admin,
-                *kernel_pins,
-                pid,
-                dma,
-                shared,
-                waits,
-                wait_probe,
-            )
-        });
-        b.waits.fw += grant.wait;
-        b.des_end = b.des_end.max(grant.end);
     }
 }
 
-impl BoardDriver for ClusterDriver<'_> {
+impl<M: TranslationMechanism + ?Sized> BoardDriver for LiveDriver<'_, '_, M> {
     fn open(&mut self, index: u64, open_ns: u64, wire: &mut [u8; FRAME_BYTES]) -> Option<Conn> {
         let hello = through_wire(
             Frame::Hello {
@@ -205,72 +131,58 @@ impl BoardDriver for ClusterDriver<'_> {
         let order = std::mem::take(&mut self.order);
         let mut opened = None;
         for (attempt, &ix) in order.iter().enumerate() {
-            let pre = self.boards[ix].board.clock.now();
-            let registered = {
-                let Self { host, boards, .. } = self;
-                let b = &mut boards[ix];
-                b.engine.register_process(host, &mut b.board, pid)
-            };
-            match registered {
-                Ok(()) => {
-                    self.price_admin_from(ix, pid, pre);
-                    let welcome = through_wire(
-                        Frame::Welcome {
-                            conn: pid.raw(),
-                            credits: self.fcfg.credit_window as u32,
-                        },
-                        wire,
-                    );
-                    debug_assert!(!welcome.is_request());
-                    self.accepted += 1;
-                    if attempt > 0 {
-                        self.redirected += 1;
-                        self.boards[ix].redirected_in += 1;
-                    }
-                    let b = &mut self.boards[ix];
-                    b.accepted += 1;
-                    b.open_conns += 1;
-                    if let Some(p) = &mut b.wait_probe {
-                        p.on_event(pid, Event::Connect);
-                    }
-                    let mut gen = ReqGen::new(self.fcfg, index, open_ns);
-                    let pending = gen.next(self.fcfg);
-                    opened = Some(Conn {
-                        pid,
-                        board: ix,
-                        gen,
-                        window: CreditWindow::new(self.fcfg.credit_window, self.fcfg.queue_depth),
-                        pending,
-                        last_done_ns: open_ns,
-                        seq: 0,
-                    });
-                    break;
+            let b = &mut self.boards[ix];
+            if b.connect(&mut self.host, pid).is_ok() {
+                let welcome = through_wire(
+                    Frame::Welcome {
+                        conn: pid.raw(),
+                        credits: self.fcfg.credit_window as u32,
+                    },
+                    wire,
+                );
+                debug_assert!(!welcome.is_request());
+                b.emit(pid, Event::Connect);
+                self.accepted += 1;
+                let t = &mut self.tally[ix];
+                t.accepted += 1;
+                t.open_conns += 1;
+                if attempt > 0 {
+                    self.redirected += 1;
+                    t.redirected_in += 1;
                 }
-                Err(_) => {
-                    // Registration SRAM exhausted here. Price whatever the
-                    // failed attempt charged, then redirect the client to
-                    // the next candidate (if any) and re-run the Hello.
-                    self.boards[ix].refusals += 1;
-                    self.price_admin_from(ix, pid, pre);
-                    if let Some(&next) = order.get(attempt + 1) {
-                        let redirect = through_wire(
-                            Frame::Redirect {
-                                client: index,
-                                board: next as u32,
-                            },
-                            wire,
-                        );
-                        debug_assert!(!redirect.is_request());
-                        self.redirects += 1;
-                        through_wire(
-                            Frame::Hello {
-                                client: index,
-                                buffer_bytes: self.fcfg.buffer_pages * PAGE_SIZE,
-                            },
-                            wire,
-                        );
-                    }
-                }
+                let mut gen = ReqGen::new(self.fcfg, index, open_ns);
+                let pending = gen.next(self.fcfg);
+                opened = Some(Conn {
+                    pid,
+                    board: ix,
+                    gen,
+                    window: CreditWindow::new(self.fcfg.credit_window, self.fcfg.queue_depth),
+                    pending,
+                    last_done_ns: open_ns,
+                    seq: 0,
+                });
+                break;
+            }
+            // Registration SRAM exhausted here: redirect the client to the
+            // next candidate (if any) and re-run the Hello there.
+            self.tally[ix].refusals += 1;
+            if let Some(&next) = order.get(attempt + 1) {
+                let redirect = through_wire(
+                    Frame::Redirect {
+                        client: index,
+                        board: next as u32,
+                    },
+                    wire,
+                );
+                debug_assert!(!redirect.is_request());
+                self.redirects += 1;
+                through_wire(
+                    Frame::Hello {
+                        client: index,
+                        buffer_bytes: self.fcfg.buffer_pages * PAGE_SIZE,
+                    },
+                    wire,
+                );
             }
         }
         self.order = order;
@@ -285,107 +197,34 @@ impl BoardDriver for ClusterDriver<'_> {
     }
 
     fn initial_wave_done(&mut self) {
-        for b in &mut self.boards {
-            b.t0 = b.board.clock.now();
-            b.last_service = b.t0;
-            b.des_end = b.des_end.max(b.t0);
+        for b in self.boards.iter_mut() {
+            b.start();
         }
     }
 
     fn serve(&mut self, conn: &Conn, va: VirtAddr, nbytes: u64, at: Nanos) -> Nanos {
-        let Self {
-            host,
-            boards,
-            shared,
-            kernel_pins,
-            out,
-            events_scratch,
-            demands,
-            ..
-        } = self;
-        let b = &mut boards[conn.board];
-        // Serial half, identical to the single-board driver.
-        b.board.clock.advance_to(at);
-        out.clear();
-        b.engine
-            .lookup_run_into(
-                host,
-                &mut b.board,
-                LookupBatch::for_buffer(conn.pid, va, nbytes),
-                out,
-            )
-            .expect("frontend lookups succeed");
-        b.last_service = b.last_service.max(b.board.clock.now());
-        // DES overlay: this lookup's demands walk the board's firmware
-        // and the shared stations.
-        events_scratch.clear();
-        std::mem::swap(&mut *b.tap_buf.borrow_mut(), &mut *events_scratch);
-        page_demands_into(events_scratch, demands);
-        let FrontBoard {
-            firmware,
-            dma,
-            wait_probe,
-            waits,
-            ..
-        } = b;
-        let grant = firmware.acquire_with(at, |start| {
-            station_walk(
-                start,
-                demands,
-                *kernel_pins,
-                conn.pid,
-                dma,
-                shared,
-                waits,
-                wait_probe,
-            )
-        });
-        b.waits.fw += grant.wait;
-        crate::des_runner::emit_wait(
-            &mut b.wait_probe,
-            conn.pid,
-            WaitResource::Firmware,
-            grant.wait,
-        );
-        b.served += 1;
-        b.des_end = b.des_end.max(grant.end);
-        grant.end
+        self.tally[conn.board].served += 1;
+        let batch = LookupBatch::for_buffer(conn.pid, va, nbytes);
+        self.boards[conn.board].serve(&mut self.host, batch, at, &mut self.out)
     }
 
     fn record_latency(&mut self, conn: &Conn, lat_ns: u64) {
-        self.boards[conn.board].latency.record(lat_ns);
+        self.boards[conn.board].record_latency(lat_ns);
     }
 
     fn emit(&mut self, conn: &Conn, event: Event) {
-        if let Some(p) = &mut self.boards[conn.board].wait_probe {
-            p.on_event(conn.pid, event);
-        }
+        self.boards[conn.board].emit(conn.pid, event);
     }
 
     fn close(&mut self, conn: &Conn, _close_ns: u64) {
-        let ix = conn.board;
-        let pre = {
-            let Self { host, boards, .. } = self;
-            let b = &mut boards[ix];
-            b.stats_acc += b
-                .engine
-                .stats(conn.pid)
-                .expect("open connection is registered");
-            let pre = b.board.clock.now();
-            b.engine
-                .unregister_process(host, &mut b.board, conn.pid)
-                .expect("open connection is registered");
-            pre
-        };
-        self.price_admin_from(ix, conn.pid, pre);
+        let b = &mut self.boards[conn.board];
+        let t = &mut self.tally[conn.board];
+        t.stats_acc += b.disconnect(&mut self.host, conn.pid);
+        t.open_conns -= 1;
         self.host
             .kill_process(conn.pid)
             .expect("connection process is live");
-        let b = &mut self.boards[ix];
-        b.open_conns -= 1;
-        if let Some(p) = &mut b.wait_probe {
-            p.on_event(conn.pid, Event::Close);
-        }
+        b.emit(conn.pid, Event::Close);
     }
 }
 
@@ -559,63 +398,57 @@ impl ClusterFrontendResult {
     }
 }
 
-/// The clustered front end. See the [module docs](self); the public entry
-/// point is `Run::frontend(cfg).cluster(topology).execute(Live)`.
+/// The clustered front end: the live driver over `cluster.nodes` boards,
+/// each with its own collector and private stations over one set of
+/// cluster stations. See the [module docs](self); the public entry point
+/// is `Run::frontend(cfg).cluster(topology).execute(Live)`.
+///
+/// # Errors
+///
+/// Returns [`RunError::Topology`] on a zero-board topology.
 pub(crate) fn replay_cluster_frontend(
     mech: Mechanism,
     cfg: &SimConfig,
     fcfg: &FrontendConfig,
     des: &DesConfig,
     cluster: &ClusterConfig,
-) -> ClusterFrontendResult {
-    fcfg.validate();
-    let nodes = cluster.nodes;
-    assert!(nodes > 0, "a cluster needs at least one board");
-
-    let boards: Vec<FrontBoard> = (0..nodes)
-        .map(|_| {
-            let collector = SharedCollector::new(FRONTEND_OBS_RING);
-            let tap_buf: Rc<RefCell<Vec<Event>>> = Rc::new(RefCell::new(Vec::new()));
-            let mut engine = mech.engine(cfg);
-            engine.set_probe(Box::new(DemandTap {
-                buf: Rc::clone(&tap_buf),
-                inner: Some(collector.boxed()),
-            }));
-            FrontBoard {
-                engine,
-                board: Board::new(),
-                firmware: Resource::fifo("nic_firmware", 1),
-                dma: DmaEngineModel::new(&des.bus),
-                tap_buf,
-                wait_probe: Some(collector.boxed()),
-                collector,
-                t0: Nanos::ZERO,
-                last_service: Nanos::ZERO,
-                des_end: Nanos::ZERO,
-                open_conns: 0,
-                accepted: 0,
-                redirected_in: 0,
-                refusals: 0,
-                served: 0,
-                stats_acc: TranslationStats::default(),
-                latency: Histogram::new(),
-                waits: StationWaits::default(),
-            }
-        })
+) -> Result<ClusterFrontendResult, RunError> {
+    cluster.check_nodes()?;
+    let shared = Rc::new(RefCell::new(SharedStations::cluster(des)));
+    let mut engines: Vec<_> = (0..cluster.nodes).map(|_| mech.engine(cfg)).collect();
+    let mut boards: Vec<_> = engines
+        .iter_mut()
+        .map(|engine| BoardSim::clustered(&mut **engine, None, des, &shared))
         .collect();
-    let kernel_pins = boards[0].engine.kernel_pins();
+    let mut result = serve_live(&mut boards, cfg, fcfg, cluster.homing);
+    result.shared = shared.borrow().reports();
+    Ok(result)
+}
 
-    let mut drv = ClusterDriver {
+/// Runs the reactor over `boards`, homing connections by `policy`, and
+/// reads the run out as a clustered result, shared-station reports left
+/// to the caller (the plain front end has none and takes its
+/// [single-board image](ClusterFrontendResult::single_board_image)).
+pub(crate) fn serve_live<M>(
+    boards: &mut [BoardSim<'_, M>],
+    cfg: &SimConfig,
+    fcfg: &FrontendConfig,
+    policy: HomingPolicy,
+) -> ClusterFrontendResult
+where
+    M: TranslationMechanism + ?Sized,
+{
+    for b in boards.iter_mut() {
+        b.attach();
+    }
+    let nodes = boards.len();
+    let mut drv = LiveDriver {
         fcfg,
-        policy: cluster.homing,
-        nodes,
+        policy,
         host: Host::new(cfg.host_frames),
         boards,
-        shared: SharedStations::new(des),
-        kernel_pins,
+        tally: (0..nodes).map(|_| Tally::default()).collect(),
         out: OutcomeBuf::new(),
-        events_scratch: Vec::new(),
-        demands: Vec::new(),
         order: Vec::with_capacity(nodes),
         spawned: 0,
         accepted: 0,
@@ -631,51 +464,53 @@ pub(crate) fn replay_cluster_frontend(
         .sum();
 
     let mut cells: Vec<FrontendBoardCell> = Vec::with_capacity(nodes);
-    let mut cluster_latency = Histogram::new();
     let mut stats = TranslationStats::default();
     let mut cache = CacheStats::default();
     let (mut host_mem_wait, mut bus_wait, mut intr_wait) = (Nanos::ZERO, Nanos::ZERO, Nanos::ZERO);
-    for (ix, mut b) in drv.boards.into_iter().enumerate() {
-        b.engine.take_probe();
-        b.wait_probe = None;
+    for (ix, (b, t)) in drv.boards.iter_mut().zip(&drv.tally).enumerate() {
+        b.detach();
         let board_cache = b.engine.cache_stats();
-        let metrics = b.collector.snapshot().metrics;
-        let reconciled = metrics.reconcile(&b.stats_acc).is_empty();
-        stats += b.stats_acc;
+        let metrics = b
+            .collector
+            .as_ref()
+            .map(|c| c.snapshot().metrics)
+            .unwrap_or_default();
+        let st = b.stations.as_ref();
+        let waits = st.map(|s| s.waits).unwrap_or_default();
+        stats += t.stats_acc;
         cache.hits += board_cache.hits;
         cache.misses += board_cache.misses;
         cache.probes += board_cache.probes;
         cache.evictions += board_cache.evictions;
-        host_mem_wait += b.waits.host_mem;
-        bus_wait += b.waits.bus;
-        intr_wait += b.waits.intr;
-        cluster_latency.merge(&b.latency);
+        host_mem_wait += waits.host_mem;
+        bus_wait += waits.bus;
+        intr_wait += waits.intr;
         cells.push(FrontendBoardCell {
             board: ix,
-            accepted: b.accepted,
-            redirected_in: b.redirected_in,
-            refusals: b.refusals,
-            served: b.served,
-            stats: b.stats_acc,
+            accepted: t.accepted,
+            redirected_in: t.redirected_in,
+            refusals: t.refusals,
+            served: t.served,
+            stats: t.stats_acc,
             cache: board_cache,
             sim_time_ns: (b.last_service - b.t0).as_nanos(),
-            des_time_ns: (b.des_end - b.t0).as_nanos(),
-            fw_wait_ns: b.waits.fw.as_nanos(),
-            dma_wait_ns: b.waits.dma.as_nanos(),
-            bus_wait_ns: b.waits.bus.as_nanos(),
-            intr_wait_ns: b.waits.intr.as_nanos(),
-            host_mem_wait_ns: b.waits.host_mem.as_nanos(),
-            latency_ns: b.latency,
+            des_time_ns: st.map_or(0, |s| (s.des_end - b.t0).as_nanos()),
+            fw_wait_ns: waits.fw.as_nanos(),
+            dma_wait_ns: waits.dma.as_nanos(),
+            bus_wait_ns: waits.bus.as_nanos(),
+            intr_wait_ns: waits.intr.as_nanos(),
+            host_mem_wait_ns: waits.host_mem.as_nanos(),
+            latency_ns: st.map(|s| s.latency.clone()).unwrap_or_default(),
+            reconciled: metrics.reconcile(&t.stats_acc).is_empty(),
             metrics,
-            reconciled,
-            resources: vec![b.firmware.report(), b.dma.report()],
+            resources: st.map(|s| s.reports().to_vec()).unwrap_or_default(),
         });
     }
 
     ClusterFrontendResult {
         workload: "cluster_frontend".to_string(),
         nodes,
-        homing: cluster.homing,
+        homing: policy,
         connections: fcfg.connections as u64,
         accepted: drv.accepted,
         refused: drv.refused,
@@ -689,9 +524,12 @@ pub(crate) fn replay_cluster_frontend(
         cache,
         sim_time_ns: cells.iter().map(|c| c.sim_time_ns).max().unwrap_or(0),
         des_time_ns: cells.iter().map(|c| c.des_time_ns).max().unwrap_or(0),
-        latency_ns: cluster_latency,
+        // Every served request is recorded on exactly one board as well,
+        // and log-bucket histograms merge exactly, so the reactor's
+        // run-wide histogram is the merge of the board cells'.
+        latency_ns: counts.latency_ns,
         boards: cells,
-        shared: drv.shared.reports(),
+        shared: Vec::new(),
         host_mem_wait_ns: host_mem_wait.as_nanos(),
         bus_wait_ns: bus_wait.as_nanos(),
         intr_wait_ns: intr_wait.as_nanos(),

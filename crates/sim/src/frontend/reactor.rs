@@ -1,17 +1,13 @@
 //! The board-agnostic connection reactor: the request-plane state machine
-//! shared by the single-board and clustered front ends.
+//! behind both front ends.
 //!
 //! The reactor owns everything that is *connection* lifecycle — the event
 //! heap, the open-window slots, credit-window admission, the wire frames a
 //! peer exchanges, and the offered/served/latency accounting. Everything
 //! that is *board* — which board a connection homes to, how its handshake
 //! and lookups are priced, where its counters are snapshotted at close —
-//! goes through the [`BoardDriver`] the caller supplies. The single-board
-//! driver in the parent module prices on the serial board clock alone; the
-//! clustered driver in [`cluster`](super::cluster) adds homing policies,
-//! redirect re-homing, and discrete-event station pricing. Both drive this
-//! one loop, which is what makes the 1-board clustered front end bit-exact
-//! with the plain one.
+//! goes through the [`BoardDriver`] the caller supplies: the one driver in
+//! [`cluster`](super::cluster), over one plain board or N priced ones.
 
 use super::FrontendConfig;
 use rand::rngs::StdRng;

@@ -50,6 +50,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
+mod board;
 mod classify;
 mod cluster;
 mod config;
@@ -66,6 +67,7 @@ pub mod sweep;
 pub use classify::{MissBreakdown, MissClassifier, MissKind};
 pub use cluster::{
     BoardCell, ClusterConfig, ClusterResult, HomingPolicy, Migration, MigrationReport,
+    TopologyError,
 };
 pub use config::{Mechanism, SimConfig, DEFAULT_HOST_FRAMES};
 pub use des_runner::{DesConfig, DesResult};

@@ -43,7 +43,7 @@
 //! produce all surface as `Err`. [`RunOutputExt`] lets the `Result` chain
 //! straight into the accessors (`.execute(&trace).into_sim()?`).
 
-use crate::cluster::{replay_cluster, ClusterConfig, ClusterResult};
+use crate::cluster::{replay_cluster, ClusterConfig, ClusterResult, TopologyError};
 use crate::des_runner::{replay_des, DesResult};
 use crate::frontend::cluster::{replay_cluster_frontend, ClusterFrontendResult};
 use crate::frontend::{replay_frontend, FrontendConfig, FrontendResult};
@@ -74,6 +74,10 @@ pub enum RunError {
     /// The input shape does not fit the configured run (e.g. a trace fed
     /// to a frontend run, or [`Live`] without `.frontend(cfg)`).
     IncompatibleInput(&'static str),
+    /// The cluster topology does not fit the run: zero boards, a shard
+    /// map that disagrees with the board count or misses a pid, or a
+    /// migration naming an unknown pid or out-of-range board.
+    Topology(TopologyError),
     /// The output was read as a shape the run did not produce (e.g.
     /// `.into_sim()` on a cluster run).
     IncompatiblePayload {
@@ -96,6 +100,7 @@ impl std::fmt::Display for RunError {
             RunError::IncompatibleConfig(msg) | RunError::IncompatibleInput(msg) => {
                 write!(f, "{msg}")
             }
+            RunError::Topology(e) => write!(f, "invalid cluster topology: {e}"),
             RunError::IncompatiblePayload { requested, actual } => write!(
                 f,
                 "not a {requested} run: the result is in .into_{actual}()"
@@ -105,6 +110,12 @@ impl std::fmt::Display for RunError {
 }
 
 impl std::error::Error for RunError {}
+
+impl From<TopologyError> for RunError {
+    fn from(e: TopologyError) -> Self {
+        RunError::Topology(e)
+    }
+}
 
 /// A configured simulation run: mechanism (or caller-supplied engine),
 /// simulation parameters, optional observability, optional discrete-event
@@ -226,11 +237,11 @@ impl Run {
     }
 
     /// [`execute`](Run::execute) with a caller-supplied scratch arena: the
-    /// replay loop's reusable buffers (stream chunk, outcome buffer, DES
-    /// event/demand vectors) come from `scratch` instead of being
-    /// allocated fresh — the way sweep workers run many cells with one
-    /// arena (see [`sweep_with`](crate::sweep_with)). Cluster and frontend
-    /// runs manage per-board buffers internally and ignore `scratch`.
+    /// replay loop's reusable buffers (stream chunk, outcome buffer) come
+    /// from `scratch` instead of being allocated fresh — the way sweep
+    /// workers run many cells with one arena (see
+    /// [`sweep_with`](crate::sweep_with)). Frontend runs generate their
+    /// own requests and ignore `scratch`.
     ///
     /// # Errors
     ///
@@ -251,7 +262,11 @@ impl Run {
             if self.frontend.is_some() {
                 return input.dispatch(ClusterFrontendExec { run: self, mech });
             }
-            return input.dispatch(ClusterExec { run: self, mech });
+            return input.dispatch(ClusterExec {
+                run: self,
+                mech,
+                scratch,
+            });
         }
         let mut engine = mech.engine(&self.cfg);
         self.execute_with_in(&mut *engine, scratch, input)
@@ -411,104 +426,86 @@ impl<M: TranslationMechanism + ?Sized> StreamVisitor for EngineExec<'_, '_, '_, 
 
     fn visit<S: TraceStream + ?Sized>(self, stream: &mut S) -> Result<RunOutput, RunError> {
         let collector = self.run.obs_ring.map(SharedCollector::new);
-        if let Some(fcfg) = &self.run.frontend {
-            if self.run.des.is_some() {
+        let live = stream.workload() == LIVE_WORKLOAD;
+        let (payload, board) = match (&self.run.frontend, &self.run.des) {
+            (Some(_), Some(_)) => {
                 return Err(RunError::IncompatibleConfig(
                     "a single-board frontend run owns its own clock discipline: \
                      drop .des() or add .cluster(topology)",
-                ));
+                ))
             }
-            if stream.workload() != LIVE_WORKLOAD {
-                return Err(RunError::IncompatibleInput(
-                    "a frontend run generates its own requests: execute(Live), not a trace",
-                ));
+            (Some(_), None) if !live => return Err(RunError::IncompatibleInput(FRONTEND_INPUT)),
+            (None, _) if live => return Err(RunError::IncompatibleInput(LIVE_INPUT)),
+            (Some(fcfg), None) => {
+                let (r, board) =
+                    replay_frontend(self.engine, &self.run.cfg, fcfg, collector.as_ref());
+                (Payload::Frontend(Box::new(r)), board)
             }
-            let (result, board) =
-                replay_frontend(self.engine, &self.run.cfg, fcfg, collector.as_ref());
-            let obs = collector.map(|c| {
-                build_report(
-                    self.engine.name(),
-                    &result.workload,
-                    &result.stats,
-                    board,
-                    &c,
-                )
-            });
-            return Ok(RunOutput {
-                payload: Payload::Frontend(Box::new(result)),
-                obs,
-            });
-        }
-        if stream.workload() == LIVE_WORKLOAD {
-            return Err(RunError::IncompatibleInput(
-                "a Live input needs .frontend(cfg): nothing else generates requests",
-            ));
-        }
-        if let Some(des) = &self.run.des {
-            let (result, board) = replay_des(
-                self.engine,
-                stream,
-                &self.run.cfg,
-                des,
-                collector.as_ref(),
-                self.scratch,
-            );
-            let obs = collector.map(|c| {
-                build_report(
-                    self.engine.name(),
-                    &result.base.workload,
-                    &result.base.stats,
-                    board,
-                    &c,
-                )
-            });
-            Ok(RunOutput {
-                payload: Payload::Des(Box::new(result)),
-                obs,
-            })
-        } else if let Some(collector) = collector {
-            self.engine.set_probe(collector.boxed());
-            let (result, board) = replay_stream(self.engine, stream, &self.run.cfg, self.scratch);
-            self.engine.take_probe();
-            let obs = build_report(
-                self.engine.name(),
-                &result.workload,
-                &result.stats,
-                board,
-                &collector,
-            );
-            Ok(RunOutput {
-                payload: Payload::Sim(result),
-                obs: Some(obs),
-            })
-        } else {
-            let (result, _) = replay_stream(self.engine, stream, &self.run.cfg, self.scratch);
-            Ok(RunOutput {
-                payload: Payload::Sim(result),
-                obs: None,
-            })
-        }
+            (None, Some(des)) => {
+                let (r, board) = replay_des(
+                    self.engine,
+                    stream,
+                    &self.run.cfg,
+                    des,
+                    collector.as_ref(),
+                    self.scratch,
+                );
+                (Payload::Des(Box::new(r)), board)
+            }
+            (None, None) => {
+                let (r, board) = replay_stream(
+                    self.engine,
+                    stream,
+                    &self.run.cfg,
+                    collector.as_ref(),
+                    self.scratch,
+                );
+                (Payload::Sim(r), board)
+            }
+        };
+        let obs = collector.map(|c| {
+            let (workload, stats) = match &payload {
+                Payload::Sim(r) => (&r.workload, &r.stats),
+                Payload::Des(r) => (&r.base.workload, &r.base.stats),
+                Payload::Frontend(r) => (&r.workload, &r.stats),
+                _ => unreachable!("single-engine runs produce single-board payloads"),
+            };
+            build_report(self.engine.name(), workload, stats, board, &c)
+        });
+        Ok(RunOutput { payload, obs })
     }
 }
 
+/// Why a trace or stream cannot feed a frontend run.
+const FRONTEND_INPUT: &str =
+    "a frontend run generates its own requests: execute(Live), not a trace";
+/// Why [`Live`] cannot feed a trace run.
+const LIVE_INPUT: &str = "a Live input needs .frontend(cfg): nothing else generates requests";
+
 /// Cluster trace execution: one engine per board, shared stations.
-struct ClusterExec<'r> {
+struct ClusterExec<'r, 's> {
     run: &'r Run,
     mech: Mechanism,
+    scratch: &'s mut SweepScratch,
 }
 
-impl StreamVisitor for ClusterExec<'_> {
+impl StreamVisitor for ClusterExec<'_, '_> {
     type Out = Result<RunOutput, RunError>;
 
     fn visit<S: TraceStream + ?Sized>(self, stream: &mut S) -> Result<RunOutput, RunError> {
         if stream.workload() == LIVE_WORKLOAD {
-            return Err(RunError::IncompatibleInput(
-                "a Live input needs .frontend(cfg): nothing else generates requests",
-            ));
+            return Err(RunError::IncompatibleInput(LIVE_INPUT));
         }
         let des = self.run.des.unwrap_or_default();
         let cluster = self.run.cluster.as_ref().expect("checked by execute");
-        let result = replay_cluster(self.mech, stream, &self.run.cfg, &des, cluster);
+        let result = replay_cluster(
+            self.mech,
+            stream,
+            &self.run.cfg,
+            &des,
+            cluster,
+            self.scratch,
+        )?;
         Ok(RunOutput {
             payload: Payload::Cluster(Box::new(result)),
             obs: None,
@@ -528,9 +525,7 @@ impl StreamVisitor for ClusterFrontendExec<'_> {
 
     fn visit<S: TraceStream + ?Sized>(self, stream: &mut S) -> Result<RunOutput, RunError> {
         if stream.workload() != LIVE_WORKLOAD {
-            return Err(RunError::IncompatibleInput(
-                "a frontend run generates its own requests: execute(Live), not a trace",
-            ));
+            return Err(RunError::IncompatibleInput(FRONTEND_INPUT));
         }
         if self.run.obs_ring.is_some() {
             return Err(RunError::IncompatibleConfig(
@@ -547,7 +542,7 @@ impl StreamVisitor for ClusterFrontendExec<'_> {
         }
         let fcfg = self.run.frontend.as_ref().expect("checked by execute");
         let des = self.run.des.unwrap_or_default();
-        let result = replay_cluster_frontend(self.mech, &self.run.cfg, fcfg, &des, cluster);
+        let result = replay_cluster_frontend(self.mech, &self.run.cfg, fcfg, &des, cluster)?;
         Ok(RunOutput {
             payload: Payload::ClusterFrontend(Box::new(result)),
             obs: None,

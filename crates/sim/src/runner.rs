@@ -1,21 +1,19 @@
-//! Trace-driven simulation runners.
+//! Serial trace replay: the board kernel with one board and no stations.
 //!
-//! Unlike the paper's count-only simulator, these runners drive the *actual*
+//! Unlike the paper's count-only simulator, replay drives the *actual*
 //! engines from `utlb-core` on the simulated host and NIC: pages really get
 //! pinned, translation tables really live in simulated DRAM, and the Shared
 //! UTLB-Cache really fills over the simulated I/O bus. The statistics
 //! reported are therefore the mechanism's own counters, not a re-model.
+//! The loop itself is [`replay_trace`]; see [`crate::board`].
 
+use crate::board::{replay_trace, BoardSim};
 use crate::{MissBreakdown, MissClassifier, SimConfig};
 use serde::{Deserialize, Serialize};
-use utlb_core::obs::Event;
-use utlb_core::{
-    CacheStats, LookupBatch, LookupRates, OutcomeBuf, PageDemand, TranslationMechanism,
-    TranslationStats,
-};
-use utlb_mem::Host;
-use utlb_nic::{Board, BoardSnapshot, Nanos};
-use utlb_trace::{fill_chunk, TraceRecord, TraceStream};
+use utlb_core::obs::SharedCollector;
+use utlb_core::{CacheStats, LookupRates, OutcomeBuf, TranslationMechanism, TranslationStats};
+use utlb_nic::BoardSnapshot;
+use utlb_trace::{TraceRecord, TraceStream};
 
 /// Records pulled per refill of the streaming replay loop. The loop's
 /// resident trace state is one chunk, whatever the stream's total size.
@@ -24,29 +22,23 @@ pub const STREAM_CHUNK: usize = 1024;
 /// The replay loop's reusable buffers, hoisted out so a sweep worker can
 /// carry one arena across every cell it executes.
 ///
-/// A single run already allocates nothing per record: the stream chunk,
-/// the batched-lookup [`OutcomeBuf`], and the DES overlay's event/demand
-/// vectors are reused across the whole stream (PR 5/6's scratch-reuse
-/// pattern). This struct extends the same pattern across *sweep cells* —
+/// A single run already allocates nothing per record: the stream chunk and
+/// the batched-lookup [`OutcomeBuf`] are reused across the whole stream.
+/// This struct extends the same pattern across *sweep cells* —
 /// [`sweep_with`](crate::sweep_with) builds one `SweepScratch` per worker
 /// and [`Run::execute_in`](crate::Run::execute_in) threads it into each
 /// run, so a 140-cell grid pays the buffer growth once per worker instead
 /// of once per cell.
 ///
-/// Every buffer is cleared by the replay loop before use (the chunk by
-/// `fill_chunk`, the rest explicitly), so reuse is behavior-preserving:
-/// results are byte-identical whether a scratch is fresh or carried over,
-/// which the sweep determinism suite pins.
+/// Every buffer is cleared by the replay loop before use, so reuse is
+/// behavior-preserving: results are byte-identical whether a scratch is
+/// fresh or carried over, which the sweep determinism suite pins.
 #[derive(Debug, Default)]
 pub struct SweepScratch {
     /// Stream refill buffer ([`STREAM_CHUNK`] records at steady state).
     pub(crate) chunk: Vec<TraceRecord>,
     /// Per-record page outcomes from the batched lookup path.
     pub(crate) out: OutcomeBuf,
-    /// Drained engine events, decomposed into demands (DES overlay only).
-    pub(crate) events: Vec<Event>,
-    /// Per-page resource demands (DES overlay only).
-    pub(crate) demands: Vec<PageDemand>,
 }
 
 impl SweepScratch {
@@ -55,8 +47,6 @@ impl SweepScratch {
         SweepScratch {
             chunk: Vec::with_capacity(STREAM_CHUNK),
             out: OutcomeBuf::new(),
-            events: Vec::new(),
-            demands: Vec::new(),
         }
     }
 }
@@ -131,83 +121,29 @@ impl SimResult {
     }
 }
 
-/// The replay loop, written once against [`TranslationMechanism`] and
-/// [`TraceStream`]: spawns the stream's processes, then consumes records in
-/// [`STREAM_CHUNK`]-sized refills of one reused buffer — advancing the board
-/// clock to each record's timestamp, translating the record's buffer through
-/// the batched zero-allocation lookup path, and classifying every NIC miss.
-/// Returns the result plus the board's counters for obs exports.
-///
-/// Both replay modes are this one function: a materialized [`Trace`] enters
-/// through a [`utlb_trace::TraceView`] (see [`Run`]), a fused
-/// generate+replay run hands in the generator stream directly — which is
-/// why their results are identical by construction, and why replay memory
-/// is O(chunk) rather than O(trace) in the fused mode.
+/// Serial replay: one board, no stations, the collector attached when the
+/// run is observed. A materialized [`Trace`](utlb_trace::Trace) enters
+/// through a [`utlb_trace::TraceView`], a fused generate+replay run hands
+/// in the generator stream directly — which is why their results are
+/// identical by construction, and why replay memory is O(chunk) rather
+/// than O(trace) in the fused mode. Returns the result plus the board's
+/// counters for obs exports.
 pub(crate) fn replay_stream<M, S>(
     engine: &mut M,
     stream: &mut S,
     cfg: &SimConfig,
+    obs: Option<&SharedCollector>,
     scratch: &mut SweepScratch,
 ) -> (SimResult, BoardSnapshot)
 where
     M: TranslationMechanism + ?Sized,
     S: TraceStream + ?Sized,
 {
-    let mut host = Host::new(cfg.host_frames);
-    let mut board = Board::new();
-    let mut classifier = MissClassifier::new(cfg.cache_entries);
-
-    // Stream pids are 1..=n; map them onto freshly spawned host processes.
-    // The process set is stream metadata, known before the first record.
-    let pids = stream.process_ids();
-    for expected in &pids {
-        let got = host.spawn_process();
-        assert_eq!(got, *expected, "trace pids must be dense from 1");
-        engine
-            .register_process(&mut host, &mut board, got)
-            .expect("registration succeeds on a fresh host");
-    }
-    let workload = stream.workload().to_string();
-
-    let t0 = board.clock.now();
-    // The chunk buffer and outcome buffer come from the caller's arena and
-    // are reused across the whole stream — and, in a sweep, across every
-    // cell the worker executes: the batched lookup path appends into
-    // `out`, so the replay loop allocates nothing per record once both
-    // have grown to steady state.
-    let SweepScratch { chunk, out, .. } = scratch;
-    while fill_chunk(stream, chunk, STREAM_CHUNK) > 0 {
-        for rec in chunk.iter() {
-            board.clock.advance_to(Nanos::from_nanos(rec.ts_ns));
-            out.clear();
-            engine
-                .lookup_run_into(
-                    &mut host,
-                    &mut board,
-                    LookupBatch::for_buffer(rec.pid, rec.va, rec.nbytes),
-                    out,
-                )
-                .expect("trace lookups succeed");
-            classifier.access_batch(rec.pid, out.as_slice());
-        }
-    }
-    // Simulated wall time from registration to the last record's completion,
-    // including idle gaps between trace timestamps.
-    let sim_time_ns = (board.clock.now() - t0).as_nanos();
-
-    let per_process = pids
-        .iter()
-        .map(|p| (p.raw(), engine.stats(*p).expect("registered")))
-        .collect();
-    let result = SimResult {
-        workload,
-        stats: engine.aggregate_stats(),
-        cache: engine.cache_stats(),
-        breakdown: classifier.breakdown(),
-        per_process,
-        sim_time_ns,
-    };
-    (result, board.snapshot())
+    let classifier = MissClassifier::new(cfg.cache_entries);
+    let mut boards = [BoardSim::new(engine, Some(classifier), obs.cloned())];
+    let run = replay_trace(&mut boards, cfg.host_frames, stream, |_| 0, &[], scratch);
+    let result = boards[0].sim_result(&run.workload, &run.resident(0));
+    (result, boards[0].board.snapshot())
 }
 
 #[cfg(test)]

@@ -1,33 +1,32 @@
-//! The shared discrete-event stations of a multi-board run, and the walk
-//! that prices one request's demands across them.
+//! The shared discrete-event stations, and the walk that prices one
+//! request's demands across a board's stations and them.
 //!
-//! A cluster gives every board its own engine, firmware station, and DMA
-//! engine — the private resources a physical NIC carries — but exactly one
-//! host memory system, one I/O bus, and one host interrupt service: the
-//! backplane resources N boards must contend for. Both multi-board
-//! runners ([`cluster`](crate::cluster) trace replay and the clustered
-//! front end in [`frontend::cluster`](crate::frontend::cluster)) price on
-//! the same [`station_walk`], so "cross-board contention" means the same
-//! thing whether the traffic was recorded or generated live.
+//! Every board with stations (see [`board`](crate::board)) owns a firmware
+//! station and a DMA engine — the private resources a physical NIC
+//! carries — and walks its requests over one [`SharedStations`]: the I/O
+//! bus and host interrupt service, plus, on a multi-board cluster, the host
+//! memory system that pin work from every board funnels through.
 //!
-//! The walk preserves the serial runners' charge exactly when
-//! uncontended: every station grant starts at the walking cursor (the
-//! previous grant never ends later under zero contention), so a 1-board
-//! cluster reproduces the serial overlay bit-for-bit — the determinism
-//! contract `tests/cluster.rs` and `tests/cluster_frontend.rs` pin.
+//! Uncontended, every station grant starts at the walking cursor (the
+//! previous grant never ends later), so the walk reproduces the serial
+//! clock's charge exactly — the determinism contract `tests/cluster.rs`,
+//! `tests/cluster_frontend.rs` and `tests/des_equivalence.rs` pin.
 
-use crate::des_runner::{emit_wait, DesConfig};
-use utlb_core::obs::{Probe, WaitResource};
+use crate::des_runner::DesConfig;
+use utlb_core::obs::{Event, Probe, SharedCollector, WaitResource};
 use utlb_core::PageDemand;
 use utlb_des::{DmaEngineModel, IntrServiceModel, IoBusModel, Resource, ResourceReport};
 use utlb_mem::ProcessId;
 use utlb_nic::Nanos;
 
-/// The stations one cluster backplane cannot replicate per board: host
-/// memory, the I/O bus, and host interrupt service.
+/// The stations boards share: the I/O bus, host interrupt service and,
+/// on a cluster, host memory.
 pub(crate) struct SharedStations {
-    /// The host memory system driver pin/unpin work funnels through.
-    pub(crate) host_mem: Resource,
+    /// The host memory system driver pin/unpin work funnels through. A
+    /// single-board run has none: with one board nothing can queue there,
+    /// so pin work advances the cursor directly, exactly as an always-free
+    /// grant would.
+    pub(crate) host_mem: Option<Resource>,
     /// The I/O bus all DMA data transfers cross.
     pub(crate) io_bus: IoBusModel,
     /// Host interrupt dispatch and service.
@@ -35,23 +34,31 @@ pub(crate) struct SharedStations {
 }
 
 impl SharedStations {
-    /// One set of shared stations under `des` timing.
-    pub(crate) fn new(des: &DesConfig) -> Self {
+    /// The shared stations of one board under `des` timing: bus and
+    /// interrupt service, no host-memory station.
+    pub(crate) fn single_board(des: &DesConfig) -> Self {
         SharedStations {
-            host_mem: Resource::fifo("host_mem", 1),
+            host_mem: None,
             io_bus: IoBusModel::new(des.bus),
             intr_svc: IntrServiceModel::new(des.intr_dispatch),
         }
     }
 
-    /// Station reports in the result order every cluster payload uses:
-    /// host memory, I/O bus, interrupt service.
+    /// The shared stations of a cluster under `des` timing.
+    pub(crate) fn cluster(des: &DesConfig) -> Self {
+        SharedStations {
+            host_mem: Some(Resource::fifo("host_mem", 1)),
+            ..SharedStations::single_board(des)
+        }
+    }
+
+    /// Station reports in the result order every payload uses: host memory
+    /// (when present), I/O bus, interrupt service.
     pub(crate) fn reports(&self) -> Vec<ResourceReport> {
-        vec![
-            self.host_mem.report(),
-            self.io_bus.report(),
-            self.intr_svc.report(),
-        ]
+        let mut reports: Vec<ResourceReport> = self.host_mem.iter().map(Resource::report).collect();
+        reports.push(self.io_bus.report());
+        reports.push(self.intr_svc.report());
+        reports
     }
 }
 
@@ -70,6 +77,30 @@ pub(crate) struct StationWaits {
     pub(crate) host_mem: Nanos,
 }
 
+/// Sends `event` to the board's collector, if it has one.
+pub(crate) fn emit(probe: &mut Option<SharedCollector>, pid: ProcessId, event: Event) {
+    if let Some(p) = probe {
+        p.on_event(pid, event);
+    }
+}
+
+/// Emits an [`Event::Wait`] to the board's collector, if it has one.
+pub(crate) fn emit_wait(
+    probe: &mut Option<SharedCollector>,
+    pid: ProcessId,
+    resource: WaitResource,
+    wait: Nanos,
+) {
+    emit(
+        probe,
+        pid,
+        Event::Wait {
+            resource,
+            ns: wait.as_nanos(),
+        },
+    );
+}
+
 /// Prices one request's page demands across the stations, starting at
 /// `start` (the firmware grant instant): firmware compute advances the
 /// cursor directly; driver pin work crosses to shared host memory (or
@@ -79,7 +110,7 @@ pub(crate) struct StationWaits {
 /// Returns the cursor after the last demand — the firmware occupancy end.
 ///
 /// Uncontended, every inner grant starts exactly at the cursor, so the
-/// returned end equals the serial runners' charge for the same demands.
+/// returned end equals the serial clock's charge for the same demands.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn station_walk(
     start: Nanos,
@@ -89,7 +120,7 @@ pub(crate) fn station_walk(
     dma: &mut DmaEngineModel,
     shared: &mut SharedStations,
     waits: &mut StationWaits,
-    probe: &mut Option<Box<dyn Probe>>,
+    probe: &mut Option<SharedCollector>,
 ) -> Nanos {
     let mut cursor = start;
     for d in demands {
@@ -98,13 +129,16 @@ pub(crate) fn station_walk(
         if kernel_pins {
             intr_occupancy += d.pin_ns;
         } else if d.pin_ns > 0 {
-            // Driver pin work crosses to the shared host memory system.
-            // Uncontended the grant starts at the cursor, reproducing the
-            // serial charge exactly.
-            let g = shared.host_mem.acquire(cursor, Nanos::from_nanos(d.pin_ns));
-            waits.host_mem += g.wait;
-            emit_wait(probe, pid, WaitResource::HostMem, g.wait);
-            cursor = g.end;
+            let pin = Nanos::from_nanos(d.pin_ns);
+            match &mut shared.host_mem {
+                Some(host_mem) => {
+                    let g = host_mem.acquire(cursor, pin);
+                    waits.host_mem += g.wait;
+                    emit_wait(probe, pid, WaitResource::HostMem, g.wait);
+                    cursor = g.end;
+                }
+                None => cursor += pin,
+            }
         }
         if intr_occupancy > 0 {
             let g = shared
@@ -115,6 +149,8 @@ pub(crate) fn station_walk(
             cursor = g.end;
         }
         if d.dma_ns > 0 {
+            // Engine programming, then the bus data phase: the two service
+            // times sum to the serial DMA charge.
             let total = Nanos::from_nanos(d.dma_ns);
             let setup = dma.setup().min(total);
             let g1 = dma.program_for(cursor, setup);

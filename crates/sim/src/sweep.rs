@@ -16,9 +16,8 @@
 //!   cell) that each of its cells then reuses; with
 //!   [`SweepScratch`](crate::SweepScratch) and
 //!   [`Run::execute_in`](crate::Run::execute_in) the per-cell replay
-//!   buffers (stream chunk, [`OutcomeBuf`](utlb_core::OutcomeBuf), DES
-//!   event/demand vectors) are allocated once per worker and reused across
-//!   the whole grid.
+//!   buffers (stream chunk, [`OutcomeBuf`](utlb_core::OutcomeBuf)) are
+//!   allocated once per worker and reused across the whole grid.
 //! * **Cost-ordered dispatch** — [`SweepGrid::cost`] attaches an estimated
 //!   cost per cell (drivers use the exact lookup count of the cell's trace
 //!   or op program); the dispatcher hands out indices in descending-cost

@@ -34,42 +34,70 @@ fn run_cluster(
         .unwrap()
 }
 
-/// Acceptance gate: sharding "over one board" must be the identity. With
-/// zero contention the cluster's single board replays the exact serial
-/// schedule, so its serial half is byte-identical JSON to `Run::des`'s
-/// `base` and its completion time matches to the nanosecond — for all four
-/// mechanisms.
+/// Acceptance gate: sharding "over one board" must be the identity. A
+/// 1-board cluster replays the exact serial schedule, so its serial half
+/// is byte-identical JSON to `Run::des`'s `base` and its completion time
+/// and per-request latency distribution match to the nanosecond — for all
+/// four mechanisms, with and without contention. Under contention the
+/// shared bus and interrupt service queue, and the board's waits there
+/// must equal the serial DES run's.
 #[test]
 fn one_board_zero_contention_is_bit_exact_with_the_serial_des_run() {
     let trace = cluster_workload(&gen_config(), 2);
     let cfg = SimConfig::study(1024);
-    for mech in Mechanism::ALL {
-        let serial = Run::new(mech)
-            .config(&cfg)
-            .des(DesConfig::zero_contention())
-            .execute(&trace)
-            .into_des()
-            .unwrap();
-        let cluster = run_cluster(mech, &trace, &cfg, ClusterConfig::new(1));
+    for des in [
+        DesConfig::zero_contention(),
+        DesConfig::contended(1.0),
+        DesConfig::contended(8.0),
+    ] {
+        for mech in Mechanism::ALL {
+            let serial = Run::new(mech)
+                .config(&cfg)
+                .des(des)
+                .execute(&trace)
+                .into_des()
+                .unwrap();
+            let cluster = Run::new(mech)
+                .config(&cfg)
+                .des(des)
+                .cluster(ClusterConfig::new(1))
+                .execute(&trace)
+                .into_cluster()
+                .unwrap();
+            let load = des.payload_load;
 
-        assert_eq!(cluster.nodes, 1);
-        assert_eq!(cluster.boards.len(), 1);
-        let board = &cluster.boards[0];
-        assert_eq!(
-            serde_json::to_string(&board.sim).unwrap(),
-            serde_json::to_string(&serial.base).unwrap(),
-            "{mech}: 1-board serial half must be byte-identical"
-        );
-        assert_eq!(
-            cluster.des_time_ns, serial.des_time_ns,
-            "{mech}: 1-board completion time must be bit-exact"
-        );
-        assert_eq!(
-            serde_json::to_string(&cluster.latency_ns).unwrap(),
-            serde_json::to_string(&serial.latency_ns).unwrap(),
-            "{mech}: per-request latency distribution must be bit-exact"
-        );
-        assert_eq!(cluster.host_mem_wait_ns + cluster.bus_wait_ns, 0, "{mech}");
+            assert_eq!(cluster.nodes, 1);
+            assert_eq!(cluster.boards.len(), 1);
+            let board = &cluster.boards[0];
+            assert_eq!(
+                serde_json::to_string(&board.sim).unwrap(),
+                serde_json::to_string(&serial.base).unwrap(),
+                "{mech} @ {load}: 1-board serial half must be byte-identical"
+            );
+            assert_eq!(
+                cluster.des_time_ns, serial.des_time_ns,
+                "{mech} @ {load}: 1-board completion time must be bit-exact"
+            );
+            assert_eq!(
+                serde_json::to_string(&cluster.latency_ns).unwrap(),
+                serde_json::to_string(&serial.latency_ns).unwrap(),
+                "{mech} @ {load}: per-request latency distribution must be bit-exact"
+            );
+            assert_eq!(
+                (cluster.bus_wait_ns, cluster.intr_wait_ns),
+                (serial.bus_wait_ns, serial.intr_wait_ns),
+                "{mech} @ {load}: shared-station waits must match the serial DES run"
+            );
+            assert_eq!(
+                (board.fw_wait_ns, board.dma_wait_ns),
+                (serial.fw_wait_ns, serial.dma_wait_ns),
+                "{mech} @ {load}: private-station waits must match the serial DES run"
+            );
+            assert_eq!(cluster.host_mem_wait_ns, 0, "{mech} @ {load}");
+            if load == 0.0 {
+                assert_eq!(cluster.bus_wait_ns, 0, "{mech}");
+            }
+        }
     }
 }
 

@@ -3,6 +3,7 @@
 //! a `.des()` run must reproduce the plain run's `sim_time_ns` bit-exactly — and its
 //! embedded serial half must be byte-identical `SimResult` JSON — on every
 //! Table 4/5 workload and on arbitrary (app, seed, scale, geometry) points.
+//! An observed contended run's wait accounting is pinned exactly as well.
 
 use proptest::prelude::*;
 use utlb_sim::{DesConfig, DesResult, Mechanism, Run, RunOutputExt, SimConfig, SimResult};
@@ -102,5 +103,80 @@ proptest! {
         prop_assert_eq!(r.des_time_ns, serial.sim_time_ns);
         prop_assert_eq!(r.base.stats, serial.stats);
         prop_assert_eq!(r.dma_wait_ns + r.bus_wait_ns + r.intr_wait_ns, 0);
+    }
+}
+
+/// One line per observed quantity: the event-count total of `Wait`s, every
+/// wait histogram as `count/sum/max`, and the station reports as
+/// `name:arrivals/busy/wait`, in result order.
+fn observed_des_fingerprint(mech: Mechanism) -> String {
+    let trace = gen::generate(
+        SplashApp::Water,
+        &GenConfig {
+            seed: 21,
+            scale: 0.05,
+            app_processes: 4,
+        },
+    );
+    let (r, obs) = Run::new(mech)
+        .config(&SimConfig::study(128))
+        .des(DesConfig::contended(4.0))
+        .observed_ring(32)
+        .execute(&trace)
+        .into_des_observed()
+        .unwrap();
+    let m = &obs.metrics;
+    let hist =
+        |h: &utlb_core::obs::Histogram| format!("{}/{}/{}", h.count(), h.sum_ns(), h.max_ns());
+    let mut s = format!(
+        "waits={} fw={} dma={} bus={} intr={} host_mem={}",
+        m.counts.waits,
+        hist(&m.fw_wait_ns),
+        hist(&m.dma_wait_ns),
+        hist(&m.bus_wait_ns),
+        hist(&m.intr_wait_ns),
+        hist(&m.host_mem_wait_ns),
+    );
+    for res in &r.resources {
+        let st = &res.stats;
+        s += &format!(
+            " {}:{}/{}/{}",
+            res.name, st.arrivals, st.busy_ns, st.wait_ns
+        );
+    }
+    s
+}
+
+/// An observed `.des()` run's wait accounting is pinned exactly: the
+/// `Wait` event count, every wait histogram (a single-board run has no
+/// shared host-memory station, so that histogram stays empty), and the
+/// four station reports in their fixed order. Any refactor of the station
+/// walk that adds, drops or reorders a wait shows up here.
+#[test]
+fn observed_des_wait_accounting_is_pinned() {
+    let expected = [
+        (
+            Mechanism::Utlb,
+            "waits=1036 fw=424/4020284547/12909378 dma=94/0/0 bus=94/10756020/743256 intr=424/152592/8976 host_mem=0/0/0 \
+             nic_firmware:424/14014420/4020284547 dma_engine:518/760424/3746064 io_bus:518/26693568/1371348636 intr_service:424/4240000/152592",
+        ),
+        (
+            Mechanism::PerProc,
+            "waits=848 fw=424/634495587/1992885 dma=0/0/0 bus=0/0/0 intr=424/152592/8976 host_mem=0/0/0 \
+             nic_firmware:424/3089200/634495587 dma_engine:424/622432/3746064 io_bus:424/26690560/4708899096 intr_service:424/4240000/152592",
+        ),
+        (
+            Mechanism::Indexed,
+            "waits=1036 fw=424/4020157647/12909078 dma=94/0/0 bus=94/10783920/743556 intr=424/152592/8976 host_mem=0/0/0 \
+             nic_firmware:424/14014120/4020157647 dma_engine:518/760424/3746064 io_bus:518/26693568/1371376536 intr_service:424/4240000/152592",
+        ),
+        (
+            Mechanism::Intr,
+            "waits=942 fw=424/5344553219/16833054 dma=0/0/0 bus=0/0/0 intr=518/14638988/788524 host_mem=0/0/0 \
+             nic_firmware:424/17833596/5344553219 dma_engine:424/622432/14895064 io_bus:424/26690560/1360592616 intr_service:518/7248000/14638988",
+        ),
+    ];
+    for (mech, want) in expected {
+        assert_eq!(observed_des_fingerprint(mech), want, "{mech}");
     }
 }

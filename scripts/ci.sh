@@ -19,6 +19,9 @@ cargo test -q --offline
 echo "== full workspace tests"
 cargo test -q --offline --workspace
 
+echo "== benchmark: perfbench builds against the current API (held-out-seed self-test)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== observability: runner-equivalence and probe-reconciliation tests"
 cargo test -q --offline -p utlb-sim --test equivalence
 cargo test -q --offline -p utlb-core obs::
