@@ -1,12 +1,14 @@
 //! The translation fast path end to end — the §5 "0.9 µs" measurement.
 //!
-//! One warm `UtlbEngine::lookup`: a user-level bitmap check plus a NIC
+//! One warm one-page `lookup_run`: a user-level bitmap check plus a NIC
 //! cache hit. Also benches the cold path (pin + table install + cache
 //! fill) and the three UTLB variants side by side.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use utlb_core::{CacheConfig, PerProcessConfig, PerProcessEngine, UtlbConfig, UtlbEngine};
+use utlb_core::{
+    CacheConfig, PerProcessConfig, PerProcessEngine, TranslationMechanism, UtlbConfig, UtlbEngine,
+};
 use utlb_mem::{Host, VirtPage};
 use utlb_nic::Board;
 
@@ -20,12 +22,12 @@ fn bench_fast_path(c: &mut Criterion) {
         let pid = host.spawn_process();
         engine.register_process(&mut host, &mut board, pid).unwrap();
         engine
-            .lookup(&mut host, &mut board, pid, VirtPage::new(7), 1)
+            .lookup_run(&mut host, &mut board, pid, VirtPage::new(7), 1)
             .unwrap();
         b.iter(|| {
             black_box(
                 engine
-                    .lookup(&mut host, &mut board, pid, VirtPage::new(7), 1)
+                    .lookup_run(&mut host, &mut board, pid, VirtPage::new(7), 1)
                     .unwrap(),
             )
         })
@@ -49,7 +51,7 @@ fn bench_fast_path(c: &mut Criterion) {
             next = (next + 1) % 8192;
             black_box(
                 engine
-                    .lookup(&mut host, &mut board, pid, VirtPage::new(next), 1)
+                    .lookup_run(&mut host, &mut board, pid, VirtPage::new(next), 1)
                     .unwrap(),
             )
         })
@@ -62,12 +64,12 @@ fn bench_fast_path(c: &mut Criterion) {
         let pid = host.spawn_process();
         engine.register_process(&mut host, &mut board, pid).unwrap();
         engine
-            .lookup(&mut host, &mut board, pid, VirtPage::new(7))
+            .lookup_run(&mut host, &mut board, pid, VirtPage::new(7), 1)
             .unwrap();
         b.iter(|| {
             black_box(
                 engine
-                    .lookup(&mut host, &mut board, pid, VirtPage::new(7))
+                    .lookup_run(&mut host, &mut board, pid, VirtPage::new(7), 1)
                     .unwrap(),
             )
         })

@@ -1,4 +1,5 @@
-//! The batched, allocation-free lookup path.
+//! The batched, allocation-free lookup path, and the one page walk every
+//! engine's lookups share.
 //!
 //! The replay runners translate one trace record at a time, and a record is
 //! a contiguous page run for one process. The scalar
@@ -10,9 +11,17 @@
 //! [`lookup_run_into`](crate::TranslationMechanism::lookup_run_into) path
 //! emits into — the runner clears and reuses one buffer across the whole
 //! trace, so the steady state allocates nothing per record.
+//!
+//! Both entry points are written once here, over the crate-private
+//! [`PageWalk`] hooks each engine supplies: [`lookup_run`] loops the
+//! engine's scalar per-page walk, and [`lookup_run_into`] coalesces runs of
+//! pure hits around it. Engines forward their
+//! [`TranslationMechanism`](crate::TranslationMechanism) methods to these,
+//! so the coalescing contract holds for every mechanism by construction.
 
-use crate::PageOutcome;
-use utlb_mem::{ProcessId, VirtAddr, VirtPage};
+use crate::{PageOutcome, Result, UtlbError};
+use utlb_mem::{Host, ProcessId, VirtAddr, VirtPage};
+use utlb_nic::{Board, Nanos};
 
 /// One record's translation request: `npages` consecutive pages for `pid`
 /// starting at `start`.
@@ -48,97 +57,120 @@ impl LookupBatch {
 /// The batched lookup path appends into this instead of returning a fresh
 /// `Vec` per record; callers clear and reuse one buffer across a whole
 /// trace, so its capacity is paid once.
-#[derive(Debug, Default)]
-pub struct OutcomeBuf {
-    outcomes: Vec<PageOutcome>,
+pub type OutcomeBuf = Vec<PageOutcome>;
+
+/// The hooks an engine supplies so the shared drivers can run its lookups.
+///
+/// A *pure hit* is a page whose every check hits — no pin, no table fetch,
+/// no interrupt — so its clock charge is the constant [`hit_ns`], whatever
+/// the absolute time. That is what lets [`lookup_run_into`] defer the
+/// charges of a run of hits and apply them in one advance.
+///
+/// [`hit_ns`]: PageWalk::hit_ns
+pub(crate) trait PageWalk {
+    /// Whether `pid` is registered.
+    fn registered(&self, pid: ProcessId) -> bool;
+
+    /// The clock charge of one pure hit.
+    fn hit_ns(&self) -> Nanos;
+
+    /// Translates the longest prefix of `run` whose pages are pure hits,
+    /// stopping at the first page that is not: pushes one outcome per page,
+    /// does each page's counter, recency and cache work, and emits its
+    /// `Lookup { ns: hit_event_ns }` event, but leaves the clock alone.
+    /// Returns the number of pages translated (0 when the first page is
+    /// not a pure hit). `run.pid` is registered.
+    fn hit_run(
+        &mut self,
+        board: &Board,
+        run: LookupBatch,
+        hit_event_ns: u64,
+        out: &mut OutcomeBuf,
+    ) -> Result<u64>;
+
+    /// The scalar per-page walk: translates `page` exactly as the hardware
+    /// would, charging the clock as it goes. The reference both drivers
+    /// are checked against. `pid` is registered.
+    fn lookup_page(
+        &mut self,
+        host: &mut Host,
+        board: &mut Board,
+        pid: ProcessId,
+        page: VirtPage,
+    ) -> Result<PageOutcome>;
 }
 
-impl OutcomeBuf {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        OutcomeBuf::default()
+/// The scalar driver behind every engine's
+/// [`lookup_run`](crate::TranslationMechanism::lookup_run): the registration
+/// check, then one [`PageWalk::lookup_page`] per page.
+pub(crate) fn lookup_run<E: PageWalk>(
+    engine: &mut E,
+    host: &mut Host,
+    board: &mut Board,
+    pid: ProcessId,
+    start: VirtPage,
+    npages: u64,
+) -> Result<Vec<PageOutcome>> {
+    if !engine.registered(pid) {
+        return Err(UtlbError::UnregisteredProcess(pid));
     }
+    start
+        .range(npages)
+        .map(|page| engine.lookup_page(host, board, pid, page))
+        .collect()
+}
 
-    /// An empty buffer with room for `npages` outcomes.
-    pub fn with_capacity(npages: usize) -> Self {
-        OutcomeBuf {
-            outcomes: Vec::with_capacity(npages),
+/// The batched driver behind every engine's
+/// [`lookup_run_into`](crate::TranslationMechanism::lookup_run_into).
+///
+/// Runs of pure hits go through [`PageWalk::hit_run`] and their identical
+/// clock charges are coalesced. Any other page first settles the pending
+/// charges — so the miss path sees the clock the scalar walk would — and
+/// then takes the scalar [`PageWalk::lookup_page`] unchanged. Outcomes,
+/// statistics, probe events and the clock are therefore identical to
+/// [`lookup_run`].
+pub(crate) fn lookup_run_into<E: PageWalk>(
+    engine: &mut E,
+    host: &mut Host,
+    board: &mut Board,
+    batch: LookupBatch,
+    out: &mut OutcomeBuf,
+) -> Result<()> {
+    let LookupBatch { pid, start, npages } = batch;
+    if !engine.registered(pid) {
+        return Err(UtlbError::UnregisteredProcess(pid));
+    }
+    let hit_ns = engine.hit_ns();
+    let hit_event_ns = hit_ns.as_nanos();
+    let mut pending = 0u64; // coalesced hit charges not yet on the clock
+    let mut i = 0u64;
+    while i < npages {
+        let run = LookupBatch::new(pid, start.offset(i), npages - i);
+        let hits = engine.hit_run(board, run, hit_event_ns, out)?;
+        if hits > 0 {
+            pending += hits;
+            i += hits;
+            continue;
         }
+        settle(board, hit_ns, &mut pending);
+        out.push(engine.lookup_page(host, board, pid, run.start)?);
+        i += 1;
     }
-
-    /// Empties the buffer, keeping its allocation.
-    pub fn clear(&mut self) {
-        self.outcomes.clear();
-    }
-
-    /// Appends one outcome.
-    pub fn push(&mut self, outcome: PageOutcome) {
-        self.outcomes.push(outcome);
-    }
-
-    /// Appends a slice of outcomes.
-    pub fn extend_from_slice(&mut self, outcomes: &[PageOutcome]) {
-        self.outcomes.extend_from_slice(outcomes);
-    }
-
-    /// Outcomes recorded so far, in page order.
-    pub fn as_slice(&self) -> &[PageOutcome] {
-        &self.outcomes
-    }
-
-    /// Number of outcomes recorded.
-    pub fn len(&self) -> usize {
-        self.outcomes.len()
-    }
-
-    /// Whether no outcomes are recorded.
-    pub fn is_empty(&self) -> bool {
-        self.outcomes.is_empty()
-    }
-
-    /// Current capacity in outcomes.
-    pub fn capacity(&self) -> usize {
-        self.outcomes.capacity()
-    }
-
-    /// Iterates the recorded outcomes.
-    pub fn iter(&self) -> std::slice::Iter<'_, PageOutcome> {
-        self.outcomes.iter()
-    }
+    settle(board, hit_ns, &mut pending);
+    Ok(())
 }
 
-impl<'a> IntoIterator for &'a OutcomeBuf {
-    type Item = &'a PageOutcome;
-    type IntoIter = std::slice::Iter<'a, PageOutcome>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.outcomes.iter()
+/// Applies `pending` deferred hit charges in one clock advance.
+fn settle(board: &mut Board, hit_ns: Nanos, pending: &mut u64) {
+    if *pending > 0 {
+        board.clock.advance(hit_ns * *pending);
+        *pending = 0;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use utlb_mem::PhysAddr;
-
-    #[test]
-    fn buffer_reuse_keeps_capacity() {
-        let mut buf = OutcomeBuf::with_capacity(8);
-        for i in 0..8 {
-            buf.push(PageOutcome {
-                page: VirtPage::new(i),
-                phys: PhysAddr::new(i << 12),
-                check_miss: false,
-                ni_miss: false,
-            });
-        }
-        assert_eq!(buf.len(), 8);
-        let cap = buf.capacity();
-        buf.clear();
-        assert!(buf.is_empty());
-        assert_eq!(buf.capacity(), cap, "clear keeps the allocation");
-        assert_eq!(buf.iter().count(), 0);
-    }
 
     #[test]
     fn batch_for_buffer_matches_the_record_span() {

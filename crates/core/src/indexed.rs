@@ -14,11 +14,15 @@
 //! scattered indices, so index-neighbourhood prefetching loses its meaning
 //! and the free list must be managed.
 
+use crate::batch::{self, PageWalk};
 use crate::lookup::{UserLookupTree, UtlbIndex};
-use crate::obs::{Event, EvictReason, ProbeSlot};
-use crate::pincore::{charge_us, probe_stats_accessors, PinCore};
+use crate::obs::{Event, EvictReason, Probe, ProbeSlot};
+use crate::pincore::{aggregate, charge_us, PinCore};
 use crate::policy::Policy;
-use crate::{CacheConfig, CostModel, OutcomeBuf, PageOutcome, Result, SharedUtlbCache, UtlbError};
+use crate::{
+    CacheConfig, CacheStats, CostModel, LookupBatch, OutcomeBuf, PageOutcome, Result,
+    SharedUtlbCache, TranslationMechanism, TranslationStats, UtlbError,
+};
 use std::collections::HashMap;
 use utlb_mem::{FrameId, Host, PhysAddr, ProcessId, VirtPage, PAGE_SIZE};
 use utlb_nic::{Board, Nanos};
@@ -84,79 +88,9 @@ impl IndexedEngine {
         }
     }
 
-    probe_stats_accessors!();
-
     /// The shared NIC cache.
     pub fn cache(&self) -> &SharedUtlbCache {
         &self.cache
-    }
-
-    /// Registers `pid`, allocating its flat table in host memory and
-    /// initializing every slot with the garbage address (§4.2).
-    ///
-    /// The table lives in host DRAM, so `_board` is unused — the parameter
-    /// exists so the signature matches every other engine's and the
-    /// [`TranslationMechanism`](crate::TranslationMechanism) impl is direct.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UtlbError::AlreadyRegistered`] on duplicates; propagates
-    /// frame allocation failures.
-    pub fn register_process(
-        &mut self,
-        host: &mut Host,
-        _board: &mut Board,
-        pid: ProcessId,
-    ) -> Result<()> {
-        if self.procs.contains_key(&pid) {
-            return Err(UtlbError::AlreadyRegistered(pid));
-        }
-        let frames_needed = self.cfg.table_entries.div_ceil(ENTRIES_PER_FRAME);
-        let garbage = host.driver().garbage_addr();
-        let mut table_frames = Vec::with_capacity(frames_needed);
-        for _ in 0..frames_needed {
-            let f = host.physical_mut().alloc_frame()?;
-            for i in 0..ENTRIES_PER_FRAME {
-                host.physical_mut()
-                    .write_u64(f.base().offset(i as u64 * 8), garbage.raw())?;
-            }
-            table_frames.push(f);
-        }
-        self.procs.insert(
-            pid,
-            ProcState {
-                table_frames,
-                tree: UserLookupTree::new(),
-                slot_owner: HashMap::new(),
-                free: (0..self.cfg.table_entries as u32).rev().collect(),
-                core: PinCore::new(self.cfg.policy, self.cfg.seed, pid),
-            },
-        );
-        Ok(())
-    }
-
-    /// Removes `pid`: unpins everything it had pinned, drops its cache
-    /// lines, and returns its table frames to the host allocator.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UtlbError::UnregisteredProcess`] if `pid` is unknown.
-    pub fn unregister_process(
-        &mut self,
-        host: &mut Host,
-        _board: &mut Board,
-        pid: ProcessId,
-    ) -> Result<()> {
-        let state = self
-            .procs
-            .remove(&pid)
-            .ok_or(UtlbError::UnregisteredProcess(pid))?;
-        self.cache.invalidate_process(pid);
-        for f in state.table_frames {
-            host.physical_mut().free_frame(f);
-        }
-        host.driver_mut().pins_mut().release_process(pid);
-        Ok(())
     }
 
     /// Host physical address of table entry `index`.
@@ -197,16 +131,169 @@ impl IndexedEngine {
         }
         Ok(broken as f64 / adjacent as f64)
     }
+}
+
+impl TranslationMechanism for IndexedEngine {
+    fn name(&self) -> &'static str {
+        "Indexed"
+    }
+
+    fn kernel_pins(&self) -> bool {
+        false
+    }
+
+    /// Registers `pid`, allocating its flat table in host memory and
+    /// initializing every slot with the garbage address (§4.2).
+    /// The table lives in host DRAM, so `_board` is unused.
+    fn register_process(
+        &mut self,
+        host: &mut Host,
+        _board: &mut Board,
+        pid: ProcessId,
+    ) -> Result<()> {
+        if self.procs.contains_key(&pid) {
+            return Err(UtlbError::AlreadyRegistered(pid));
+        }
+        let frames_needed = self.cfg.table_entries.div_ceil(ENTRIES_PER_FRAME);
+        let garbage = host.driver().garbage_addr();
+        let mut table_frames = Vec::with_capacity(frames_needed);
+        for _ in 0..frames_needed {
+            let f = host.physical_mut().alloc_frame()?;
+            for i in 0..ENTRIES_PER_FRAME {
+                host.physical_mut()
+                    .write_u64(f.base().offset(i as u64 * 8), garbage.raw())?;
+            }
+            table_frames.push(f);
+        }
+        self.procs.insert(
+            pid,
+            ProcState {
+                table_frames,
+                tree: UserLookupTree::new(),
+                slot_owner: HashMap::new(),
+                free: (0..self.cfg.table_entries as u32).rev().collect(),
+                core: PinCore::new(self.cfg.policy, self.cfg.seed, pid),
+            },
+        );
+        Ok(())
+    }
+
+    /// Removes `pid`: unpins everything it had pinned, drops its cache
+    /// lines, and returns its table frames to the host allocator.
+    fn unregister_process(
+        &mut self,
+        host: &mut Host,
+        _board: &mut Board,
+        pid: ProcessId,
+    ) -> Result<()> {
+        let state = self
+            .procs
+            .remove(&pid)
+            .ok_or(UtlbError::UnregisteredProcess(pid))?;
+        self.cache.invalidate_process(pid);
+        for f in state.table_frames {
+            host.physical_mut().free_frame(f);
+        }
+        host.driver_mut().pins_mut().release_process(pid);
+        Ok(())
+    }
+
+    fn lookup_run(
+        &mut self,
+        host: &mut Host,
+        board: &mut Board,
+        pid: ProcessId,
+        start: VirtPage,
+        npages: u64,
+    ) -> Result<Vec<PageOutcome>> {
+        batch::lookup_run(self, host, board, pid, start, npages)
+    }
+
+    fn lookup_run_into(
+        &mut self,
+        host: &mut Host,
+        board: &mut Board,
+        batch: LookupBatch,
+        out: &mut OutcomeBuf,
+    ) -> Result<()> {
+        batch::lookup_run_into(self, host, board, batch, out)
+    }
+
+    fn stats(&self, pid: ProcessId) -> Result<TranslationStats> {
+        self.procs
+            .get(&pid)
+            .map(|s| s.core.stats)
+            .ok_or(UtlbError::UnregisteredProcess(pid))
+    }
+
+    fn aggregate_stats(&self) -> TranslationStats {
+        aggregate(self.procs.values().map(|s| &s.core))
+    }
+
+    fn cache_stats(&self) -> CacheStats {
+        self.cache.stats()
+    }
+
+    fn set_probe(&mut self, probe: Box<dyn Probe>) -> Option<Box<dyn Probe>> {
+        self.probe.attach(probe)
+    }
+
+    fn take_probe(&mut self) -> Option<Box<dyn Probe>> {
+        self.probe.detach()
+    }
+}
+
+impl PageWalk for IndexedEngine {
+    fn registered(&self, pid: ProcessId) -> bool {
+        self.procs.contains_key(&pid)
+    }
+
+    /// A hit charges the user-level tree lookup plus the NIC cache check.
+    fn hit_ns(&self) -> Nanos {
+        Nanos::from_micros(self.cfg.cost.user_check_us)
+            + Nanos::from_micros(self.cfg.cost.ni_check_us)
+    }
+
+    /// A pure hit has a mapped index in the user-level tree (one directory
+    /// reference, [`UserLookupTree::leaf`], covers the run up to the leaf
+    /// edge) whose `(pid, index)` line a stats-free cache peek finds.
+    fn hit_run(
+        &mut self,
+        _board: &Board,
+        run: LookupBatch,
+        hit_event_ns: u64,
+        out: &mut OutcomeBuf,
+    ) -> Result<u64> {
+        let LookupBatch { pid, start, npages } = run;
+        let ProcState { tree, core, .. } = self.procs.get_mut(&pid).expect("registered");
+        let Some((leaf, off)) = tree.leaf(start) else {
+            return Ok(0);
+        };
+        let mut hits = 0u64;
+        for (page, slot) in start.range(npages).zip(&leaf[off..]) {
+            let Some(index) = *slot else { break };
+            let key = VirtPage::new(index.0 as u64);
+            if self.cache.peek(pid, key).is_none() {
+                break;
+            }
+            core.fast_hit(page);
+            let phys = self.cache.lookup(pid, key).expect("peeked above");
+            self.probe.emit(pid, Event::Lookup { ns: hit_event_ns });
+            out.push(PageOutcome {
+                page,
+                phys,
+                check_miss: false,
+                ni_miss: false,
+            });
+            hits += 1;
+        }
+        Ok(hits)
+    }
 
     /// Translates one page: user-level tree lookup for the index, then a
     /// Shared UTLB-Cache probe keyed by `(pid, index)`, with a host-table
     /// DMA on a miss.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pinning and memory errors; [`UtlbError::TableFull`] if no
-    /// slot can be reclaimed.
-    pub fn lookup(
+    fn lookup_page(
         &mut self,
         host: &mut Host,
         board: &mut Board,
@@ -330,92 +417,6 @@ impl IndexedEngine {
             ni_miss,
         })
     }
-
-    /// Batched lookup: translates `npages` pages starting at `start`,
-    /// appending outcomes into the caller-owned buffer.
-    ///
-    /// The user-level tree's leaf slice is resolved once per run
-    /// ([`UserLookupTree::leaf`]); consecutive pages whose index is mapped
-    /// *and* whose `(pid, index)` line a stats-free cache peek finds take a
-    /// coalesced fast path, their identical clock charges applied in one
-    /// advance. Any other page settles the pending charges and goes through
-    /// the scalar [`lookup`](IndexedEngine::lookup) unchanged, so outcomes,
-    /// statistics, probe events, and the clock are identical to the scalar
-    /// walk.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pinning and memory errors; [`UtlbError::TableFull`] if no
-    /// slot can be reclaimed.
-    #[allow(clippy::too_many_arguments)] // host/board/pid threading is the engine calling convention
-    pub fn lookup_run_into(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        pid: ProcessId,
-        start: VirtPage,
-        npages: u64,
-        out: &mut OutcomeBuf,
-    ) -> Result<()> {
-        if !self.procs.contains_key(&pid) {
-            return Err(UtlbError::UnregisteredProcess(pid));
-        }
-        let user_ns = Nanos::from_micros(self.cfg.cost.user_check_us);
-        let ni_ns = Nanos::from_micros(self.cfg.cost.ni_check_us);
-        let hit_ns = user_ns + ni_ns;
-        let hit_event_ns = hit_ns.as_nanos();
-
-        let mut pending = 0u64; // coalesced hit charges not yet on the clock
-        let mut i = 0u64;
-        while i < npages {
-            let page = start.offset(i);
-            let state = self.procs.get_mut(&pid).expect("checked above");
-            let ProcState { tree, core, .. } = state;
-            // One directory reference covers the whole leaf; walk entries
-            // whose index is mapped and whose cache line is present.
-            let (leaf, off) = match tree.leaf(page) {
-                Some(found) => found,
-                None => (&[][..], 0),
-            };
-            let span = (leaf.len() - off).min((npages - i) as usize);
-            let mut run = 0usize;
-            while run < span {
-                let Some(index) = leaf[off + run] else { break };
-                let key = VirtPage::new(index.0 as u64);
-                if self.cache.peek(pid, key).is_none() {
-                    break;
-                }
-                let page = start.offset(i + run as u64);
-                core.fast_hit(page);
-                let phys = self.cache.lookup(pid, key).expect("peeked above");
-                self.probe.emit(pid, Event::Lookup { ns: hit_event_ns });
-                out.push(PageOutcome {
-                    page,
-                    phys,
-                    check_miss: false,
-                    ni_miss: false,
-                });
-                run += 1;
-            }
-            if run == 0 {
-                // Slow page: settle the coalesced time first so the miss
-                // path sees the same absolute clock as the scalar walk.
-                if pending > 0 {
-                    board.clock.advance(hit_ns * pending);
-                    pending = 0;
-                }
-                out.push(self.lookup(host, board, pid, page)?);
-                i += 1;
-            } else {
-                pending += run as u64;
-                i += run as u64;
-            }
-        }
-        if pending > 0 {
-            board.clock.advance(hit_ns * pending);
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -444,10 +445,10 @@ mod tests {
         let va = utlb_mem::VirtAddr::new(0x30_0000);
         host.process_mut(pid).unwrap().write(va, b"ix").unwrap();
         let o1 = engine
-            .lookup(&mut host, &mut board, pid, va.page())
+            .lookup_page(&mut host, &mut board, pid, va.page())
             .unwrap();
         let o2 = engine
-            .lookup(&mut host, &mut board, pid, va.page())
+            .lookup_page(&mut host, &mut board, pid, va.page())
             .unwrap();
         assert_eq!(o1.phys, o2.phys);
         assert!(o1.ni_miss && o1.check_miss);
@@ -465,7 +466,7 @@ mod tests {
         let (mut host, mut board, mut engine, pid) = setup(2, 32);
         for i in 0..3 {
             engine
-                .lookup(&mut host, &mut board, pid, VirtPage::new(i))
+                .lookup_page(&mut host, &mut board, pid, VirtPage::new(i))
                 .unwrap();
         }
         let s = engine.stats(pid).unwrap();
@@ -474,7 +475,7 @@ mod tests {
         assert!(!host.driver().pins().is_pinned(pid, VirtPage::new(0)));
         // Page 0 must translate freshly (slot was recycled for page 2).
         let r = engine
-            .lookup(&mut host, &mut board, pid, VirtPage::new(0))
+            .lookup_page(&mut host, &mut board, pid, VirtPage::new(0))
             .unwrap();
         let expect = host
             .process(pid)
@@ -492,7 +493,7 @@ mod tests {
         // Fill sequentially: slots align with pages — no fragmentation.
         for i in 0..8 {
             engine
-                .lookup(&mut host, &mut board, pid, VirtPage::new(i))
+                .lookup_page(&mut host, &mut board, pid, VirtPage::new(i))
                 .unwrap();
         }
         assert_eq!(engine.fragmentation(pid).unwrap(), 0.0);
@@ -500,7 +501,7 @@ mod tests {
         // page order.
         for i in 100..104 {
             engine
-                .lookup(&mut host, &mut board, pid, VirtPage::new(i))
+                .lookup_page(&mut host, &mut board, pid, VirtPage::new(i))
                 .unwrap();
         }
         assert!(
@@ -526,8 +527,12 @@ mod tests {
         let va = utlb_mem::VirtAddr::new(0x40_0000);
         host.process_mut(p1).unwrap().write(va, b"p1").unwrap();
         host.process_mut(p2).unwrap().write(va, b"p2").unwrap();
-        let a = engine.lookup(&mut host, &mut board, p1, va.page()).unwrap();
-        let b = engine.lookup(&mut host, &mut board, p2, va.page()).unwrap();
+        let a = engine
+            .lookup_page(&mut host, &mut board, p1, va.page())
+            .unwrap();
+        let b = engine
+            .lookup_page(&mut host, &mut board, p2, va.page())
+            .unwrap();
         assert_ne!(
             a.phys, b.phys,
             "process tag must disambiguate identical indices"
@@ -541,7 +546,7 @@ mod tests {
     fn unregister_frees_table_frames_and_pins() {
         let (mut host, mut board, mut engine, pid) = setup(64, 32);
         engine
-            .lookup(&mut host, &mut board, pid, VirtPage::new(3))
+            .lookup_page(&mut host, &mut board, pid, VirtPage::new(3))
             .unwrap();
         assert!(host.driver().pins().pinned_pages(pid) > 0);
         let free_before = host.physical().allocator().free_frames();
@@ -566,7 +571,7 @@ mod tests {
             Err(UtlbError::AlreadyRegistered(_))
         ));
         assert!(matches!(
-            engine.lookup(&mut host, &mut board, ProcessId::new(99), VirtPage::new(0)),
+            engine.lookup_page(&mut host, &mut board, ProcessId::new(99), VirtPage::new(0)),
             Err(UtlbError::UnregisteredProcess(_))
         ));
     }

@@ -11,15 +11,16 @@
 //! The cache structure is identical to UTLB's [`SharedUtlbCache`] — the
 //! study assumes "the cache structures are the same for both cases".
 
+use crate::batch::{self, PageWalk};
 use crate::obs::{Event, EvictReason, Probe, ProbeSlot};
 use crate::pincore::{aggregate, charge_us, PinCore};
 use crate::policy::Policy;
 use crate::{
-    CacheConfig, CostModel, OutcomeBuf, PageOutcome, Result, SharedUtlbCache, TranslationStats,
-    UtlbError,
+    CacheConfig, CacheStats, CostModel, LookupBatch, OutcomeBuf, PageOutcome, Result,
+    SharedUtlbCache, TranslationMechanism, TranslationStats, UtlbError,
 };
 use std::collections::HashMap;
-use utlb_mem::{Host, PhysAddr, ProcessId, VirtPage};
+use utlb_mem::{Host, ProcessId, VirtPage};
 use utlb_nic::{Board, Nanos};
 
 /// Configuration of an [`IntrEngine`].
@@ -44,17 +45,6 @@ impl Default for IntrConfig {
             seed: 0x1273,
         }
     }
-}
-
-/// Outcome of one interrupt-based lookup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IntrOutcome {
-    /// The translated page.
-    pub page: VirtPage,
-    /// Its physical address.
-    pub phys: PhysAddr,
-    /// Whether the NIC cache missed (and therefore interrupted the host).
-    pub ni_miss: bool,
 }
 
 /// The interrupt-based translation engine.
@@ -82,34 +72,26 @@ impl IntrEngine {
         }
     }
 
-    /// Attaches an observability probe (see [`crate::obs`]), replacing and
-    /// returning any previous one.
-    pub fn set_probe(&mut self, probe: Box<dyn Probe>) -> Option<Box<dyn Probe>> {
-        self.probe.attach(probe)
-    }
-
-    /// Detaches and returns the probe, if one was attached.
-    pub fn take_probe(&mut self) -> Option<Box<dyn Probe>> {
-        self.probe.detach()
-    }
-
     /// The NIC translation cache.
     pub fn cache(&self) -> &SharedUtlbCache {
         &self.cache
     }
+}
 
-    /// Registers `pid` with the engine and applies its memory limit.
-    ///
-    /// This engine keeps no per-process NIC state, so `_board` is unused —
-    /// the parameter exists so the signature matches
-    /// [`UtlbEngine::register_process`](crate::UtlbEngine::register_process)
-    /// and both engines implement
-    /// [`TranslationMechanism`](crate::TranslationMechanism) directly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UtlbError::AlreadyRegistered`] on a duplicate.
-    pub fn register_process(
+/// This design has no user-level check, so every outcome reports
+/// `check_miss: false`.
+impl TranslationMechanism for IntrEngine {
+    fn name(&self) -> &'static str {
+        "Intr"
+    }
+
+    fn kernel_pins(&self) -> bool {
+        true
+    }
+
+    /// Registers `pid` with the engine and applies its memory limit. This
+    /// engine keeps no per-process NIC state, so `_board` is unused.
+    fn register_process(
         &mut self,
         host: &mut Host,
         _board: &mut Board,
@@ -130,11 +112,7 @@ impl IntrEngine {
 
     /// Removes `pid`: unpins everything it had pinned and drops its cache
     /// lines.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UtlbError::UnregisteredProcess`] if `pid` is unknown.
-    pub fn unregister_process(
+    fn unregister_process(
         &mut self,
         host: &mut Host,
         _board: &mut Board,
@@ -148,127 +126,91 @@ impl IntrEngine {
         Ok(())
     }
 
-    /// Per-process statistics.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UtlbError::UnregisteredProcess`] if unknown.
-    pub fn stats(&self, pid: ProcessId) -> Result<TranslationStats> {
+    fn lookup_run(
+        &mut self,
+        host: &mut Host,
+        board: &mut Board,
+        pid: ProcessId,
+        start: VirtPage,
+        npages: u64,
+    ) -> Result<Vec<PageOutcome>> {
+        batch::lookup_run(self, host, board, pid, start, npages)
+    }
+
+    fn lookup_run_into(
+        &mut self,
+        host: &mut Host,
+        board: &mut Board,
+        batch: LookupBatch,
+        out: &mut OutcomeBuf,
+    ) -> Result<()> {
+        batch::lookup_run_into(self, host, board, batch, out)
+    }
+
+    fn stats(&self, pid: ProcessId) -> Result<TranslationStats> {
         self.procs
             .get(&pid)
             .map(|c| c.stats)
             .ok_or(UtlbError::UnregisteredProcess(pid))
     }
 
-    /// Statistics summed over all processes.
-    pub fn aggregate_stats(&self) -> TranslationStats {
+    fn aggregate_stats(&self) -> TranslationStats {
         aggregate(self.procs.values())
     }
 
-    /// Translates `npages` pages starting at `start`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pinning and memory errors.
-    pub fn lookup(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        pid: ProcessId,
-        start: VirtPage,
-        npages: u64,
-    ) -> Result<Vec<IntrOutcome>> {
-        if !self.procs.contains_key(&pid) {
-            return Err(UtlbError::UnregisteredProcess(pid));
-        }
-        let mut out = Vec::with_capacity(npages as usize);
-        for page in start.range(npages) {
-            out.push(self.lookup_page(host, board, pid, page)?);
-        }
-        Ok(out)
+    fn cache_stats(&self) -> CacheStats {
+        self.cache.stats()
     }
 
-    /// Batched lookup: translates `npages` pages starting at `start`,
-    /// appending outcomes into the caller-owned buffer. (This design has no
-    /// user-level check, so outcomes always report `check_miss: false`.)
-    ///
-    /// Consecutive pages a stats-free cache peek finds present take a
-    /// coalesced fast path — their identical NIC-check charges applied in
-    /// one clock advance. Any missing page settles the pending charges and
-    /// goes through the scalar per-page walk unchanged (a miss may unpin a
-    /// *different* process's page via a conflict eviction, so the whole
-    /// interrupt path stays scalar); outcomes, statistics, probe events,
-    /// and the clock are identical to [`lookup`](IntrEngine::lookup).
-    ///
-    /// # Errors
-    ///
-    /// Propagates pinning and memory errors.
-    #[allow(clippy::too_many_arguments)] // host/board/pid threading is the engine calling convention
-    pub fn lookup_run_into(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        pid: ProcessId,
-        start: VirtPage,
-        npages: u64,
-        out: &mut OutcomeBuf,
-    ) -> Result<()> {
-        if !self.procs.contains_key(&pid) {
-            return Err(UtlbError::UnregisteredProcess(pid));
-        }
-        // A hit charges only the NIC check; its Lookup event carries that
-        // clock delta, independent of absolute time.
-        let hit_ns = Nanos::from_micros(self.cfg.cost.ni_check_us);
-        let hit_event_ns = hit_ns.as_nanos();
+    fn set_probe(&mut self, probe: Box<dyn Probe>) -> Option<Box<dyn Probe>> {
+        self.probe.attach(probe)
+    }
 
-        let mut pending = 0u64; // coalesced hit charges not yet on the clock
-        let mut i = 0u64;
-        while i < npages {
-            let page = start.offset(i);
-            if self.cache.peek(pid, page).is_none() {
-                // Miss: settle the coalesced time first so the interrupt
-                // path sees the same absolute clock as the scalar walk.
-                if pending > 0 {
-                    board.clock.advance(hit_ns * pending);
-                    pending = 0;
-                }
-                let o = self.lookup_page(host, board, pid, page)?;
-                out.push(PageOutcome {
-                    page: o.page,
-                    phys: o.phys,
-                    check_miss: false,
-                    ni_miss: o.ni_miss,
-                });
-                i += 1;
-                continue;
-            }
-            // Run of cached pages: one state resolution, deferred charges.
-            let core = self.procs.get_mut(&pid).expect("checked above");
-            let mut run = 0u64;
-            while i + run < npages {
-                let page = start.offset(i + run);
-                let Some(phys) = self.cache.peek(pid, page) else {
-                    break;
-                };
-                let looked_up = self.cache.lookup(pid, page);
-                debug_assert_eq!(looked_up, Some(phys), "peek agrees with lookup");
-                core.fast_hit(page);
-                self.probe.emit(pid, Event::Lookup { ns: hit_event_ns });
-                out.push(PageOutcome {
-                    page,
-                    phys,
-                    check_miss: false,
-                    ni_miss: false,
-                });
-                run += 1;
-            }
-            pending += run;
-            i += run;
+    fn take_probe(&mut self) -> Option<Box<dyn Probe>> {
+        self.probe.detach()
+    }
+}
+
+impl PageWalk for IntrEngine {
+    fn registered(&self, pid: ProcessId) -> bool {
+        self.procs.contains_key(&pid)
+    }
+
+    /// A hit charges only the NIC check.
+    fn hit_ns(&self) -> Nanos {
+        Nanos::from_micros(self.cfg.cost.ni_check_us)
+    }
+
+    /// A pure hit is a page a stats-free cache peek finds present. A miss
+    /// may unpin a *different* process's page via a conflict eviction, so
+    /// the whole interrupt path stays in [`PageWalk::lookup_page`].
+    fn hit_run(
+        &mut self,
+        _board: &Board,
+        run: LookupBatch,
+        hit_event_ns: u64,
+        out: &mut OutcomeBuf,
+    ) -> Result<u64> {
+        let LookupBatch { pid, start, npages } = run;
+        let core = self.procs.get_mut(&pid).expect("registered");
+        let mut hits = 0u64;
+        for page in start.range(npages) {
+            let Some(phys) = self.cache.peek(pid, page) else {
+                break;
+            };
+            let looked_up = self.cache.lookup(pid, page);
+            debug_assert_eq!(looked_up, Some(phys), "peek agrees with lookup");
+            core.fast_hit(page);
+            self.probe.emit(pid, Event::Lookup { ns: hit_event_ns });
+            out.push(PageOutcome {
+                page,
+                phys,
+                check_miss: false,
+                ni_miss: false,
+            });
+            hits += 1;
         }
-        if pending > 0 {
-            board.clock.advance(hit_ns * pending);
-        }
-        Ok(())
+        Ok(hits)
     }
 
     fn lookup_page(
@@ -277,7 +219,7 @@ impl IntrEngine {
         board: &mut Board,
         pid: ProcessId,
         page: VirtPage,
-    ) -> Result<IntrOutcome> {
+    ) -> Result<PageOutcome> {
         let IntrEngine {
             cfg,
             cache,
@@ -296,9 +238,10 @@ impl IntrEngine {
             core.pinned.touch(page);
             let ns = (board.clock.now() - t0).as_nanos();
             probe.emit(pid, Event::Lookup { ns });
-            return Ok(IntrOutcome {
+            return Ok(PageOutcome {
                 page,
                 phys,
+                check_miss: false,
                 ni_miss: false,
             });
         }
@@ -367,9 +310,10 @@ impl IntrEngine {
 
         let ns = (board.clock.now() - t0).as_nanos();
         probe.emit(pid, Event::Lookup { ns });
-        Ok(IntrOutcome {
+        Ok(PageOutcome {
             page,
             phys,
+            check_miss: false,
             ni_miss: true,
         })
     }
@@ -399,7 +343,7 @@ mod tests {
     fn every_miss_raises_an_interrupt() {
         let (mut host, mut board, mut engine, pid) = setup(small_cfg(64));
         engine
-            .lookup(&mut host, &mut board, pid, VirtPage::new(0), 4)
+            .lookup_run(&mut host, &mut board, pid, VirtPage::new(0), 4)
             .unwrap();
         let s = engine.stats(pid).unwrap();
         assert_eq!(s.ni_misses, 4);
@@ -407,7 +351,7 @@ mod tests {
         assert_eq!(board.intr.raised(), 4);
         // Second pass hits, no new interrupts.
         engine
-            .lookup(&mut host, &mut board, pid, VirtPage::new(0), 4)
+            .lookup_run(&mut host, &mut board, pid, VirtPage::new(0), 4)
             .unwrap();
         assert_eq!(engine.stats(pid).unwrap().interrupts, 4);
     }
@@ -425,11 +369,11 @@ mod tests {
         };
         let (mut host, mut board, mut engine, pid) = setup(cfg);
         engine
-            .lookup(&mut host, &mut board, pid, VirtPage::new(0), 1)
+            .lookup_run(&mut host, &mut board, pid, VirtPage::new(0), 1)
             .unwrap();
         assert!(host.driver().pins().is_pinned(pid, VirtPage::new(0)));
         engine
-            .lookup(&mut host, &mut board, pid, VirtPage::new(4), 1)
+            .lookup_run(&mut host, &mut board, pid, VirtPage::new(4), 1)
             .unwrap();
         assert!(
             !host.driver().pins().is_pinned(pid, VirtPage::new(0)),
@@ -440,7 +384,7 @@ mod tests {
         // Re-touching page 0 is a fresh miss + pin: translations do not
         // survive eviction in this design.
         let o = engine
-            .lookup(&mut host, &mut board, pid, VirtPage::new(0), 1)
+            .lookup_run(&mut host, &mut board, pid, VirtPage::new(0), 1)
             .unwrap();
         assert!(o[0].ni_miss);
     }
@@ -460,17 +404,17 @@ mod tests {
         let cost = cfg.cost.clone();
         let (mut host, mut board, mut engine, pid) = setup(cfg);
         engine
-            .lookup(&mut host, &mut board, pid, VirtPage::new(0), 1)
+            .lookup_run(&mut host, &mut board, pid, VirtPage::new(0), 1)
             .unwrap();
         engine
-            .lookup(&mut host, &mut board, pid, VirtPage::new(4), 1)
+            .lookup_run(&mut host, &mut board, pid, VirtPage::new(4), 1)
             .unwrap();
         let expect = Nanos::from_micros(cost.kernel_pin_cost(1)) * 2
             + Nanos::from_micros(cost.kernel_unpin_cost(1));
         assert_eq!(board.intr.total_handler(), expect);
         // Hits add nothing: the handler only runs on misses.
         engine
-            .lookup(&mut host, &mut board, pid, VirtPage::new(4), 1)
+            .lookup_run(&mut host, &mut board, pid, VirtPage::new(4), 1)
             .unwrap();
         assert_eq!(board.intr.total_handler(), expect);
     }
@@ -480,7 +424,7 @@ mod tests {
         let (mut host, mut board, mut engine, pid) = setup(small_cfg(16));
         for i in 0..40 {
             engine
-                .lookup(&mut host, &mut board, pid, VirtPage::new(i), 1)
+                .lookup_run(&mut host, &mut board, pid, VirtPage::new(i), 1)
                 .unwrap();
         }
         let cached = engine.cache().occupancy() as u64;
@@ -499,7 +443,7 @@ mod tests {
         let (mut host, mut board, mut engine, pid) = setup(cfg);
         for i in 0..32 {
             engine
-                .lookup(&mut host, &mut board, pid, VirtPage::new(i), 1)
+                .lookup_run(&mut host, &mut board, pid, VirtPage::new(i), 1)
                 .unwrap();
         }
         assert!(host.driver().pins().pinned_pages(pid) <= 8);
@@ -513,7 +457,7 @@ mod tests {
         let va = utlb_mem::VirtAddr::new(0x12_0000);
         host.process_mut(pid).unwrap().write(va, b"intr").unwrap();
         let o = engine
-            .lookup(&mut host, &mut board, pid, va.page(), 1)
+            .lookup_run(&mut host, &mut board, pid, va.page(), 1)
             .unwrap();
         let mut buf = [0u8; 4];
         host.physical().read(o[0].phys, &mut buf).unwrap();
@@ -524,7 +468,7 @@ mod tests {
     fn unregister_releases_pins_and_cache_lines() {
         let (mut host, mut board, mut engine, pid) = setup(small_cfg(64));
         engine
-            .lookup(&mut host, &mut board, pid, VirtPage::new(0), 4)
+            .lookup_run(&mut host, &mut board, pid, VirtPage::new(0), 4)
             .unwrap();
         assert!(host.driver().pins().pinned_pages(pid) > 0);
         engine
@@ -542,7 +486,7 @@ mod tests {
         let (mut host, mut board, mut engine, _) = setup(small_cfg(16));
         let ghost = ProcessId::new(99);
         assert!(matches!(
-            engine.lookup(&mut host, &mut board, ghost, VirtPage::new(0), 1),
+            engine.lookup_run(&mut host, &mut board, ghost, VirtPage::new(0), 1),
             Err(UtlbError::UnregisteredProcess(_))
         ));
     }
@@ -552,12 +496,12 @@ mod tests {
         let (mut host, mut board, mut engine, pid) = setup(small_cfg(64));
         let t0 = board.clock.now();
         engine
-            .lookup(&mut host, &mut board, pid, VirtPage::new(0), 1)
+            .lookup_run(&mut host, &mut board, pid, VirtPage::new(0), 1)
             .unwrap();
         let miss_cost = board.clock.now() - t0;
         let t1 = board.clock.now();
         engine
-            .lookup(&mut host, &mut board, pid, VirtPage::new(0), 1)
+            .lookup_run(&mut host, &mut board, pid, VirtPage::new(0), 1)
             .unwrap();
         let hit_cost = board.clock.now() - t1;
         assert!(

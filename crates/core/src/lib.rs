@@ -40,7 +40,7 @@
 //! # Example
 //!
 //! ```
-//! use utlb_core::{UtlbConfig, UtlbEngine};
+//! use utlb_core::{TranslationMechanism, UtlbConfig, UtlbEngine};
 //! use utlb_mem::{Host, VirtAddr};
 //! use utlb_nic::Board;
 //!
@@ -53,12 +53,12 @@
 //! utlb.register_process(&mut host, &mut board, pid)?;
 //!
 //! // First use of a buffer: pinned on demand, translations installed.
-//! let report = utlb.lookup_buffer(&mut host, &mut board, pid, VirtAddr::new(0x10_0000), 8192)?;
-//! assert!(report.pages.iter().all(|p| p.check_miss));
+//! let pages = utlb.lookup_buffer(&mut host, &mut board, pid, VirtAddr::new(0x10_0000), 8192)?;
+//! assert!(pages.iter().all(|p| p.check_miss));
 //!
 //! // Second use: pure fast path — no syscalls, no interrupts.
-//! let report = utlb.lookup_buffer(&mut host, &mut board, pid, VirtAddr::new(0x10_0000), 8192)?;
-//! assert!(report.pages.iter().all(|p| !p.check_miss && !p.ni_miss));
+//! let pages = utlb.lookup_buffer(&mut host, &mut board, pid, VirtAddr::new(0x10_0000), 8192)?;
+//! assert!(pages.iter().all(|p| !p.check_miss && !p.ni_miss));
 //! # Ok(())
 //! # }
 //! ```
@@ -90,13 +90,13 @@ pub use bitvec::{CheckOutcome, DenseBits, PinBitVector};
 pub use cache::{Associativity, CacheConfig, CacheStats, Evicted, SharedUtlbCache};
 pub use cost::{CostModel, LookupRates};
 pub use demand::{page_demands, page_demands_into, PageDemand};
-pub use engine::{LookupReport, PageOutcome, UtlbConfig, UtlbConfigBuilder, UtlbEngine};
+pub use engine::{UtlbConfig, UtlbConfigBuilder, UtlbEngine};
 pub use error::UtlbError;
 pub use hier::{DirEntry, HierTable, DIR_ENTRIES, LEAF_ENTRIES};
 pub use indexed::{IndexedConfig, IndexedEngine};
-pub use intr::{IntrConfig, IntrEngine, IntrOutcome};
+pub use intr::{IntrConfig, IntrEngine};
 pub use lookup::{UserLookupTree, UtlbIndex};
-pub use mechanism::TranslationMechanism;
+pub use mechanism::{PageOutcome, TranslationMechanism};
 pub use perproc::{PerProcessConfig, PerProcessEngine};
 pub use pincore::PinCore;
 pub use policy::{PinnedSet, Policy};

@@ -9,19 +9,31 @@
 //! engine.
 
 use crate::obs::Probe;
-use crate::{
-    CacheStats, IndexedEngine, IntrEngine, LookupBatch, OutcomeBuf, PageOutcome, PerProcessEngine,
-    Result, TranslationStats, UtlbEngine,
-};
-use utlb_mem::{Host, ProcessId, VirtPage};
+use crate::{CacheStats, LookupBatch, OutcomeBuf, Result, TranslationStats};
+use utlb_mem::{Host, PhysAddr, ProcessId, VirtPage};
 use utlb_nic::Board;
+
+/// Outcome of translating one page, normalized across mechanisms.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PageOutcome {
+    /// The translated page.
+    pub page: VirtPage,
+    /// Its physical address, ready for DMA.
+    pub phys: PhysAddr,
+    /// Whether the user-level check missed (pages had to be pinned).
+    pub check_miss: bool,
+    /// Whether the NIC translation cache missed.
+    pub ni_miss: bool,
+}
 
 /// A NIC address-translation mechanism, as the simulation drives one.
 ///
-/// Implemented by all four engines: [`PerProcessEngine`] (per-process UTLB,
-/// §3.1), [`IndexedEngine`] (Shared UTLB-Cache over indexed tables, §3.2),
-/// [`UtlbEngine`] (Hierarchical UTLB, §3.3), and [`IntrEngine`]
-/// (interrupt-based baseline, §6.2). Per-page outcomes are normalized to
+/// Implemented directly by all four engines, each in its own module:
+/// [`PerProcessEngine`](crate::PerProcessEngine) (per-process UTLB, §3.1),
+/// [`IndexedEngine`](crate::IndexedEngine) (Shared UTLB-Cache over indexed
+/// tables, §3.2), [`UtlbEngine`](crate::UtlbEngine) (Hierarchical UTLB,
+/// §3.3), and [`IntrEngine`](crate::IntrEngine) (interrupt-based baseline,
+/// §6.2). Per-page outcomes are normalized to
 /// [`PageOutcome`]; the interrupt-based design has no user-level check, so
 /// its outcomes always report `check_miss: false`, and the per-process UTLB
 /// reads a statically allocated SRAM table, so its outcomes always report
@@ -65,11 +77,13 @@ pub trait TranslationMechanism {
         pid: ProcessId,
     ) -> Result<()>;
 
-    /// Translates `npages` pages starting at `start`.
+    /// Translates `npages` pages starting at `start`, one outcome per page.
     ///
     /// # Errors
     ///
-    /// Propagates pinning and memory errors.
+    /// Returns [`UtlbError::UnregisteredProcess`](crate::UtlbError) if
+    /// `pid` is unknown, even for an empty run, and propagates pinning and
+    /// memory errors.
     fn lookup_run(
         &mut self,
         host: &mut Host,
@@ -83,11 +97,12 @@ pub trait TranslationMechanism {
     /// per page — the allocation-free path the replay runners drive.
     ///
     /// Outcomes, statistics, probe events, and clock charges are identical
-    /// to [`lookup_run`](TranslationMechanism::lookup_run); only the
-    /// software overhead differs. The default implementation delegates to
-    /// the scalar path; the four engines override it with fast paths that
-    /// resolve per-process state once per record and coalesce runs of
-    /// consecutive hit pages.
+    /// to [`lookup_run`](TranslationMechanism::lookup_run), and so is the
+    /// error on an unknown `pid`; only the software overhead differs. The
+    /// default implementation delegates to the scalar path; the four
+    /// engines override it with the one shared batched driver, which
+    /// resolves per-process state once per run of consecutive hit pages and
+    /// coalesces their clock charges.
     ///
     /// # Errors
     ///
@@ -127,315 +142,13 @@ pub trait TranslationMechanism {
     fn take_probe(&mut self) -> Option<Box<dyn Probe>>;
 }
 
-impl TranslationMechanism for UtlbEngine {
-    fn name(&self) -> &'static str {
-        "UTLB"
-    }
-
-    fn kernel_pins(&self) -> bool {
-        false
-    }
-
-    fn register_process(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        pid: ProcessId,
-    ) -> Result<()> {
-        UtlbEngine::register_process(self, host, board, pid)
-    }
-
-    fn unregister_process(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        pid: ProcessId,
-    ) -> Result<()> {
-        UtlbEngine::unregister_process(self, host, board, pid)
-    }
-
-    fn lookup_run(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        pid: ProcessId,
-        start: VirtPage,
-        npages: u64,
-    ) -> Result<Vec<PageOutcome>> {
-        UtlbEngine::lookup(self, host, board, pid, start, npages).map(|r| r.pages)
-    }
-
-    fn lookup_run_into(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        batch: LookupBatch,
-        out: &mut OutcomeBuf,
-    ) -> Result<()> {
-        UtlbEngine::lookup_run_into(self, host, board, batch.pid, batch.start, batch.npages, out)
-    }
-
-    fn stats(&self, pid: ProcessId) -> Result<TranslationStats> {
-        UtlbEngine::stats(self, pid)
-    }
-
-    fn aggregate_stats(&self) -> TranslationStats {
-        UtlbEngine::aggregate_stats(self)
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        self.cache().stats()
-    }
-
-    fn set_probe(&mut self, probe: Box<dyn Probe>) -> Option<Box<dyn Probe>> {
-        UtlbEngine::set_probe(self, probe)
-    }
-
-    fn take_probe(&mut self) -> Option<Box<dyn Probe>> {
-        UtlbEngine::take_probe(self)
-    }
-}
-
-impl TranslationMechanism for PerProcessEngine {
-    fn name(&self) -> &'static str {
-        "PerProc"
-    }
-
-    fn kernel_pins(&self) -> bool {
-        false
-    }
-
-    fn register_process(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        pid: ProcessId,
-    ) -> Result<()> {
-        PerProcessEngine::register_process(self, host, board, pid)
-    }
-
-    fn unregister_process(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        pid: ProcessId,
-    ) -> Result<()> {
-        PerProcessEngine::unregister_process(self, host, board, pid)
-    }
-
-    fn lookup_run(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        pid: ProcessId,
-        start: VirtPage,
-        npages: u64,
-    ) -> Result<Vec<PageOutcome>> {
-        let mut out = Vec::with_capacity(npages as usize);
-        for page in start.range(npages) {
-            out.push(PerProcessEngine::lookup(self, host, board, pid, page)?);
-        }
-        Ok(out)
-    }
-
-    fn lookup_run_into(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        batch: LookupBatch,
-        out: &mut OutcomeBuf,
-    ) -> Result<()> {
-        PerProcessEngine::lookup_run_into(
-            self,
-            host,
-            board,
-            batch.pid,
-            batch.start,
-            batch.npages,
-            out,
-        )
-    }
-
-    fn stats(&self, pid: ProcessId) -> Result<TranslationStats> {
-        PerProcessEngine::stats(self, pid)
-    }
-
-    fn aggregate_stats(&self) -> TranslationStats {
-        PerProcessEngine::aggregate_stats(self)
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        // The NIC reads the SRAM table directly — there is no shared cache
-        // in this design, so the counters are identically zero.
-        CacheStats::default()
-    }
-
-    fn set_probe(&mut self, probe: Box<dyn Probe>) -> Option<Box<dyn Probe>> {
-        PerProcessEngine::set_probe(self, probe)
-    }
-
-    fn take_probe(&mut self) -> Option<Box<dyn Probe>> {
-        PerProcessEngine::take_probe(self)
-    }
-}
-
-impl TranslationMechanism for IndexedEngine {
-    fn name(&self) -> &'static str {
-        "Indexed"
-    }
-
-    fn kernel_pins(&self) -> bool {
-        false
-    }
-
-    fn register_process(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        pid: ProcessId,
-    ) -> Result<()> {
-        IndexedEngine::register_process(self, host, board, pid)
-    }
-
-    fn unregister_process(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        pid: ProcessId,
-    ) -> Result<()> {
-        IndexedEngine::unregister_process(self, host, board, pid)
-    }
-
-    fn lookup_run(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        pid: ProcessId,
-        start: VirtPage,
-        npages: u64,
-    ) -> Result<Vec<PageOutcome>> {
-        let mut out = Vec::with_capacity(npages as usize);
-        for page in start.range(npages) {
-            out.push(IndexedEngine::lookup(self, host, board, pid, page)?);
-        }
-        Ok(out)
-    }
-
-    fn lookup_run_into(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        batch: LookupBatch,
-        out: &mut OutcomeBuf,
-    ) -> Result<()> {
-        IndexedEngine::lookup_run_into(self, host, board, batch.pid, batch.start, batch.npages, out)
-    }
-
-    fn stats(&self, pid: ProcessId) -> Result<TranslationStats> {
-        IndexedEngine::stats(self, pid)
-    }
-
-    fn aggregate_stats(&self) -> TranslationStats {
-        IndexedEngine::aggregate_stats(self)
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        self.cache().stats()
-    }
-
-    fn set_probe(&mut self, probe: Box<dyn Probe>) -> Option<Box<dyn Probe>> {
-        IndexedEngine::set_probe(self, probe)
-    }
-
-    fn take_probe(&mut self) -> Option<Box<dyn Probe>> {
-        IndexedEngine::take_probe(self)
-    }
-}
-
-impl TranslationMechanism for IntrEngine {
-    fn name(&self) -> &'static str {
-        "Intr"
-    }
-
-    fn kernel_pins(&self) -> bool {
-        true
-    }
-
-    fn register_process(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        pid: ProcessId,
-    ) -> Result<()> {
-        IntrEngine::register_process(self, host, board, pid)
-    }
-
-    fn unregister_process(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        pid: ProcessId,
-    ) -> Result<()> {
-        IntrEngine::unregister_process(self, host, board, pid)
-    }
-
-    fn lookup_run(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        pid: ProcessId,
-        start: VirtPage,
-        npages: u64,
-    ) -> Result<Vec<PageOutcome>> {
-        IntrEngine::lookup(self, host, board, pid, start, npages).map(|outcomes| {
-            outcomes
-                .into_iter()
-                .map(|o| PageOutcome {
-                    page: o.page,
-                    phys: o.phys,
-                    // No user-level check exists in this design.
-                    check_miss: false,
-                    ni_miss: o.ni_miss,
-                })
-                .collect()
-        })
-    }
-
-    fn lookup_run_into(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        batch: LookupBatch,
-        out: &mut OutcomeBuf,
-    ) -> Result<()> {
-        IntrEngine::lookup_run_into(self, host, board, batch.pid, batch.start, batch.npages, out)
-    }
-
-    fn stats(&self, pid: ProcessId) -> Result<TranslationStats> {
-        IntrEngine::stats(self, pid)
-    }
-
-    fn aggregate_stats(&self) -> TranslationStats {
-        IntrEngine::aggregate_stats(self)
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        self.cache().stats()
-    }
-
-    fn set_probe(&mut self, probe: Box<dyn Probe>) -> Option<Box<dyn Probe>> {
-        IntrEngine::set_probe(self, probe)
-    }
-
-    fn take_probe(&mut self) -> Option<Box<dyn Probe>> {
-        IntrEngine::take_probe(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CacheConfig, IndexedConfig, IntrConfig, PerProcessConfig, UtlbConfig};
+    use crate::{
+        CacheConfig, IndexedConfig, IndexedEngine, IntrConfig, IntrEngine, PerProcessConfig,
+        PerProcessEngine, UtlbConfig, UtlbEngine, UtlbError,
+    };
 
     fn drive<M: TranslationMechanism>(mut mech: M) -> (TranslationStats, CacheStats) {
         let mut host = Host::new(1 << 16);
@@ -484,7 +197,7 @@ mod tests {
             );
         }
         assert_eq!(out.len(), 8, "two batches appended, none overwritten");
-        assert_eq!(out.as_slice(), &reference[..]);
+        assert_eq!(out, reference);
         assert_eq!(board.clock.now(), board_s.clock.now());
         assert_eq!(mech.aggregate_stats(), scalar.aggregate_stats());
         assert_eq!(mech.cache_stats(), scalar.cache_stats());
@@ -508,6 +221,42 @@ mod tests {
             IntrEngine::new(IntrConfig::default()),
             IntrEngine::new(IntrConfig::default()),
         );
+    }
+
+    /// Both entry points reject an unknown pid the same way, whatever the
+    /// run length — including the empty run, which has no page to walk.
+    #[test]
+    fn unregistered_pid_is_an_error_on_both_entry_points_for_all_mechanisms() {
+        let engines: [Box<dyn TranslationMechanism>; 4] = [
+            Box::new(UtlbEngine::new(UtlbConfig::default())),
+            Box::new(PerProcessEngine::new(PerProcessConfig::default())),
+            Box::new(IndexedEngine::new(IndexedConfig::default())),
+            Box::new(IntrEngine::new(IntrConfig::default())),
+        ];
+        let mut host = Host::new(1 << 12);
+        let mut board = Board::new();
+        let ghost = ProcessId::new(404);
+        for mut mech in engines {
+            for npages in [0, 1] {
+                let scalar =
+                    mech.lookup_run(&mut host, &mut board, ghost, VirtPage::new(9), npages);
+                let mut out = OutcomeBuf::new();
+                let batch = LookupBatch::new(ghost, VirtPage::new(9), npages);
+                let batched = mech.lookup_run_into(&mut host, &mut board, batch, &mut out);
+                for (entry, got) in [
+                    ("lookup_run", scalar.map(|_| ())),
+                    ("lookup_run_into", batched),
+                ] {
+                    assert_eq!(
+                        got,
+                        Err(UtlbError::UnregisteredProcess(ghost)),
+                        "{} {entry} over {npages} pages",
+                        mech.name()
+                    );
+                }
+                assert!(out.is_empty());
+            }
+        }
     }
 
     #[test]
@@ -561,7 +310,7 @@ mod tests {
         let mut host = Host::new(1 << 16);
         let mut board = Board::new();
         let pid = host.spawn_process();
-        TranslationMechanism::register_process(&mut pp, &mut host, &mut board, pid).unwrap();
+        pp.register_process(&mut host, &mut board, pid).unwrap();
         for round in 0..2 {
             let pages = pp
                 .lookup_run(&mut host, &mut board, pid, VirtPage::new(40), 4)
@@ -572,7 +321,7 @@ mod tests {
         }
         assert_eq!(pp.aggregate_stats().lookups, 8);
         assert_eq!(pp.cache_stats(), CacheStats::default());
-        TranslationMechanism::unregister_process(&mut pp, &mut host, &mut board, pid).unwrap();
+        pp.unregister_process(&mut host, &mut board, pid).unwrap();
         assert_eq!(host.driver().pins().pinned_pages(pid), 0);
     }
 }

@@ -9,12 +9,16 @@
 //! variants for lack of multi-program traces; this engine exists so our
 //! reproduction can run that comparison as an extension.
 
+use crate::batch::{self, PageWalk};
 use crate::lookup::UserLookupTree;
-use crate::obs::{Event, EvictReason, ProbeSlot};
-use crate::pincore::{charge_us, probe_stats_accessors, PinCore};
+use crate::obs::{Event, EvictReason, Probe, ProbeSlot};
+use crate::pincore::{aggregate, charge_us, PinCore};
 use crate::policy::Policy;
 use crate::table::PerProcessTable;
-use crate::{CostModel, OutcomeBuf, PageOutcome, Result, UtlbError};
+use crate::{
+    CacheStats, CostModel, LookupBatch, OutcomeBuf, PageOutcome, Result, TranslationMechanism,
+    TranslationStats, UtlbError,
+};
 use std::collections::HashMap;
 use utlb_mem::{Host, ProcessId, VirtPage};
 use utlb_nic::{Board, Nanos};
@@ -68,17 +72,20 @@ impl PerProcessEngine {
             probe: ProbeSlot::detached(),
         }
     }
+}
 
-    probe_stats_accessors!();
+impl TranslationMechanism for PerProcessEngine {
+    fn name(&self) -> &'static str {
+        "PerProc"
+    }
+
+    fn kernel_pins(&self) -> bool {
+        false
+    }
 
     /// Registers `pid`, statically allocating its table in NIC SRAM —
     /// the allocation that motivates the Shared UTLB-Cache when it fails.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UtlbError::AlreadyRegistered`] on duplicates and propagates
-    /// SRAM exhaustion.
-    pub fn register_process(
+    fn register_process(
         &mut self,
         host: &mut Host,
         board: &mut Board,
@@ -105,11 +112,7 @@ impl PerProcessEngine {
     /// bump allocator, which is exactly the §3.1 design cost this variant
     /// exists to demonstrate: static tables occupy SRAM for the life of the
     /// board.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UtlbError::UnregisteredProcess`] if `pid` is unknown.
-    pub fn unregister_process(
+    fn unregister_process(
         &mut self,
         host: &mut Host,
         _board: &mut Board,
@@ -122,13 +125,99 @@ impl PerProcessEngine {
         Ok(())
     }
 
+    fn lookup_run(
+        &mut self,
+        host: &mut Host,
+        board: &mut Board,
+        pid: ProcessId,
+        start: VirtPage,
+        npages: u64,
+    ) -> Result<Vec<PageOutcome>> {
+        batch::lookup_run(self, host, board, pid, start, npages)
+    }
+
+    fn lookup_run_into(
+        &mut self,
+        host: &mut Host,
+        board: &mut Board,
+        batch: LookupBatch,
+        out: &mut OutcomeBuf,
+    ) -> Result<()> {
+        batch::lookup_run_into(self, host, board, batch, out)
+    }
+
+    fn stats(&self, pid: ProcessId) -> Result<TranslationStats> {
+        self.procs
+            .get(&pid)
+            .map(|s| s.core.stats)
+            .ok_or(UtlbError::UnregisteredProcess(pid))
+    }
+
+    fn aggregate_stats(&self) -> TranslationStats {
+        aggregate(self.procs.values().map(|s| &s.core))
+    }
+
+    /// The NIC reads the SRAM table directly — there is no shared cache in
+    /// this design, so the counters are identically zero.
+    fn cache_stats(&self) -> CacheStats {
+        CacheStats::default()
+    }
+
+    fn set_probe(&mut self, probe: Box<dyn Probe>) -> Option<Box<dyn Probe>> {
+        self.probe.attach(probe)
+    }
+
+    fn take_probe(&mut self) -> Option<Box<dyn Probe>> {
+        self.probe.detach()
+    }
+}
+
+impl PageWalk for PerProcessEngine {
+    fn registered(&self, pid: ProcessId) -> bool {
+        self.procs.contains_key(&pid)
+    }
+
+    /// A hit charges the user-level tree lookup plus the NIC table read.
+    fn hit_ns(&self) -> Nanos {
+        Nanos::from_micros(self.cfg.cost.user_check_us)
+            + Nanos::from_micros(self.cfg.cost.ni_check_us)
+    }
+
+    /// A pure hit is a mapped entry in the user-level tree: one directory
+    /// reference ([`UserLookupTree::leaf`]) covers the run up to the leaf
+    /// edge, and each page costs one SRAM table read.
+    fn hit_run(
+        &mut self,
+        board: &Board,
+        run: LookupBatch,
+        hit_event_ns: u64,
+        out: &mut OutcomeBuf,
+    ) -> Result<u64> {
+        let LookupBatch { pid, start, npages } = run;
+        let ProcState { table, tree, core } = self.procs.get_mut(&pid).expect("registered");
+        let Some((leaf, off)) = tree.leaf(start) else {
+            return Ok(0);
+        };
+        let mut hits = 0u64;
+        for (page, slot) in start.range(npages).zip(&leaf[off..]) {
+            let Some(index) = *slot else { break };
+            core.fast_hit(page);
+            let phys = table.read(index, &board.sram)?;
+            self.probe.emit(pid, Event::Lookup { ns: hit_event_ns });
+            out.push(PageOutcome {
+                page,
+                phys,
+                check_miss: false,
+                // The statically allocated table is authoritative.
+                ni_miss: false,
+            });
+            hits += 1;
+        }
+        Ok(hits)
+    }
+
     /// Translates one page: user-level tree lookup, then an SRAM table read.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pinning and SRAM errors; [`UtlbError::TableFull`] if no
-    /// entry can be evicted.
-    pub fn lookup(
+    fn lookup_page(
         &mut self,
         host: &mut Host,
         board: &mut Board,
@@ -218,89 +307,6 @@ impl PerProcessEngine {
             ni_miss: false,
         })
     }
-
-    /// Batched lookup: translates `npages` pages starting at `start`,
-    /// appending outcomes into the caller-owned buffer.
-    ///
-    /// The user-level tree's leaf slice is resolved once per run
-    /// ([`UserLookupTree::leaf`]); consecutive mapped pages inside it take
-    /// a coalesced fast path — one SRAM table read each, their identical
-    /// clock charges applied in one advance. An unmapped page settles the
-    /// pending charges and goes through the scalar
-    /// [`lookup`](PerProcessEngine::lookup) unchanged, so outcomes,
-    /// statistics, probe events, and the clock are identical to the scalar
-    /// walk.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pinning and SRAM errors; [`UtlbError::TableFull`] if no
-    /// entry can be evicted.
-    #[allow(clippy::too_many_arguments)] // host/board/pid threading is the engine calling convention
-    pub fn lookup_run_into(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        pid: ProcessId,
-        start: VirtPage,
-        npages: u64,
-        out: &mut OutcomeBuf,
-    ) -> Result<()> {
-        if !self.procs.contains_key(&pid) {
-            return Err(UtlbError::UnregisteredProcess(pid));
-        }
-        let user_ns = Nanos::from_micros(self.cfg.cost.user_check_us);
-        let ni_ns = Nanos::from_micros(self.cfg.cost.ni_check_us);
-        let hit_ns = user_ns + ni_ns;
-        let hit_event_ns = hit_ns.as_nanos();
-
-        let mut pending = 0u64; // coalesced hit charges not yet on the clock
-        let mut i = 0u64;
-        while i < npages {
-            let page = start.offset(i);
-            let state = self.procs.get_mut(&pid).expect("checked above");
-            let ProcState { table, tree, core } = state;
-            // One directory reference covers the whole leaf; walk mapped
-            // entries until the leaf edge, the record edge, or a miss.
-            let (leaf, off) = match tree.leaf(page) {
-                Some(found) => found,
-                None => (&[][..], 0),
-            };
-            let span = (leaf.len() - off).min((npages - i) as usize);
-            let mut run = 0usize;
-            while run < span {
-                let Some(index) = leaf[off + run] else { break };
-                let page = start.offset(i + run as u64);
-                core.fast_hit(page);
-                let phys = table.read(index, &board.sram)?;
-                self.probe.emit(pid, Event::Lookup { ns: hit_event_ns });
-                out.push(PageOutcome {
-                    page,
-                    phys,
-                    check_miss: false,
-                    // The statically allocated table is authoritative.
-                    ni_miss: false,
-                });
-                run += 1;
-            }
-            if run == 0 {
-                // Unmapped page: settle the coalesced time first so the
-                // miss path sees the same absolute clock as the scalar walk.
-                if pending > 0 {
-                    board.clock.advance(hit_ns * pending);
-                    pending = 0;
-                }
-                out.push(self.lookup(host, board, pid, page)?);
-                i += 1;
-            } else {
-                pending += run as u64;
-                i += run as u64;
-            }
-        }
-        if pending > 0 {
-            board.clock.advance(hit_ns * pending);
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -324,7 +330,7 @@ mod tests {
         let (mut host, mut board, mut engine, pid) = setup(16);
         for round in 0..3 {
             let o = engine
-                .lookup(&mut host, &mut board, pid, VirtPage::new(5))
+                .lookup_page(&mut host, &mut board, pid, VirtPage::new(5))
                 .unwrap();
             assert_eq!(o.check_miss, round == 0);
             assert!(!o.ni_miss);
@@ -342,7 +348,7 @@ mod tests {
         let (mut host, mut board, mut engine, pid) = setup(2);
         for p in 1..=3 {
             engine
-                .lookup(&mut host, &mut board, pid, VirtPage::new(p))
+                .lookup_page(&mut host, &mut board, pid, VirtPage::new(p))
                 .unwrap();
         }
         let s = engine.stats(pid).unwrap();
@@ -358,7 +364,7 @@ mod tests {
         let va = utlb_mem::VirtAddr::new(0x40_0000);
         host.process_mut(pid).unwrap().write(va, b"pp").unwrap();
         let o = engine
-            .lookup(&mut host, &mut board, pid, va.page())
+            .lookup_page(&mut host, &mut board, pid, va.page())
             .unwrap();
         let mut buf = [0u8; 2];
         host.physical().read(o.phys, &mut buf).unwrap();
@@ -386,7 +392,7 @@ mod tests {
     fn unregister_releases_pins_but_not_sram() {
         let (mut host, mut board, mut engine, pid) = setup(16);
         engine
-            .lookup(&mut host, &mut board, pid, VirtPage::new(7))
+            .lookup_page(&mut host, &mut board, pid, VirtPage::new(7))
             .unwrap();
         assert!(host.driver().pins().pinned_pages(pid) > 0);
         let sram_before = board.sram.available();

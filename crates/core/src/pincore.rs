@@ -134,54 +134,12 @@ impl PinCore {
 }
 
 /// Sums the counters of an iterator of cores — the body every engine's
-/// `aggregate_stats` shares.
+/// [`aggregate_stats`](crate::TranslationMechanism::aggregate_stats) shares.
 pub fn aggregate<'a>(cores: impl Iterator<Item = &'a PinCore>) -> TranslationStats {
     cores
         .map(|c| c.stats)
         .fold(TranslationStats::default(), |a, b| a + b)
 }
-
-/// Generates the accessor quartet every engine exposes identically —
-/// probe attach/detach plus per-process and aggregate statistics — for an
-/// engine whose `procs` map values embed their [`PinCore`] in a `core`
-/// field.
-macro_rules! probe_stats_accessors {
-    () => {
-        /// Attaches an observability probe (see [`crate::obs`]), replacing
-        /// and returning any previous one. Detached engines skip all event
-        /// work.
-        pub fn set_probe(
-            &mut self,
-            probe: Box<dyn crate::obs::Probe>,
-        ) -> Option<Box<dyn crate::obs::Probe>> {
-            self.probe.attach(probe)
-        }
-
-        /// Detaches and returns the probe, if one was attached.
-        pub fn take_probe(&mut self) -> Option<Box<dyn crate::obs::Probe>> {
-            self.probe.detach()
-        }
-
-        /// Per-process statistics.
-        ///
-        /// # Errors
-        ///
-        /// Returns [`crate::UtlbError::UnregisteredProcess`] if `pid` is
-        /// unknown.
-        pub fn stats(&self, pid: utlb_mem::ProcessId) -> crate::Result<crate::TranslationStats> {
-            self.procs
-                .get(&pid)
-                .map(|s| s.core.stats)
-                .ok_or(crate::UtlbError::UnregisteredProcess(pid))
-        }
-
-        /// Statistics summed over all processes.
-        pub fn aggregate_stats(&self) -> crate::TranslationStats {
-            crate::pincore::aggregate(self.procs.values().map(|s| &s.core))
-        }
-    };
-}
-pub(crate) use probe_stats_accessors;
 
 #[cfg(test)]
 mod tests {

@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use utlb_core::{
-    Associativity, CacheConfig, PinBitVector, PinnedSet, Policy, SharedUtlbCache, UtlbConfig,
-    UtlbEngine,
+    Associativity, CacheConfig, PinBitVector, PinnedSet, Policy, SharedUtlbCache,
+    TranslationMechanism, UtlbConfig, UtlbEngine,
 };
 use utlb_mem::{Host, PhysAddr, ProcessId, VirtPage};
 use utlb_nic::Board;
@@ -146,8 +146,8 @@ proptest! {
         let pid = host.spawn_process();
         engine.register_process(&mut host, &mut board, pid).unwrap();
         for vpn in lookups {
-            let report = engine
-                .lookup(&mut host, &mut board, pid, VirtPage::new(vpn), 1)
+            let pages = engine
+                .lookup_run(&mut host, &mut board, pid, VirtPage::new(vpn), 1)
                 .unwrap();
             // Correctness: the returned frame is the process' real mapping.
             let expected = host
@@ -155,7 +155,7 @@ proptest! {
                 .space()
                 .translate(VirtPage::new(vpn))
                 .expect("pinned pages are mapped");
-            prop_assert_eq!(report.pages[0].phys, expected.base());
+            prop_assert_eq!(pages[0].phys, expected.base());
             let pinned = host.driver().pins().pinned_pages(pid);
             prop_assert!(pinned <= limit, "pinned {pinned} > limit {limit}");
             let s = engine.stats(pid).unwrap();
@@ -189,9 +189,8 @@ proptest! {
                 .iter()
                 .map(|&v| {
                     engine
-                        .lookup(&mut host, &mut board, pid, VirtPage::new(v), 1)
-                        .unwrap()
-                        .pages[0]
+                        .lookup_run(&mut host, &mut board, pid, VirtPage::new(v), 1)
+                        .unwrap()[0]
                         .phys
                         .raw()
                 })

@@ -551,6 +551,7 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use utlb_core::TranslationMechanism;
 
     fn two_endpoint_fabric() -> (Fabric, EndpointId, EndpointId, ChannelId) {
         let cluster = Cluster::new(2).expect("cluster");

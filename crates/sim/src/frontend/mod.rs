@@ -112,29 +112,30 @@ impl Default for FrontendConfig {
 }
 
 impl FrontendConfig {
-    /// Checks the shape can run at all.
+    /// Checks the shape can run at all: a zero connection/window/request/
+    /// credit count or a payload that is empty or larger than the exported
+    /// buffer silently degenerates the workload, which a study config must
+    /// not do. [`Run::execute`] calls this before serving anything.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on a zero connection/window/request count or a payload
-    /// larger than the exported buffer — every one of those silently
-    /// degenerates the workload, which a study config must not do.
-    pub fn validate(&self) {
-        assert!(
-            self.connections > 0,
-            "frontend needs at least one connection"
-        );
-        assert!(self.open_window > 0, "open window must admit a connection");
-        assert!(
-            self.requests_per_conn > 0,
-            "connections must issue requests"
-        );
-        assert!(self.credit_window > 0, "credit window needs a credit");
-        assert!(self.payload_bytes > 0, "zero-byte payloads carry nothing");
-        assert!(
-            self.buffer_pages * PAGE_SIZE >= self.payload_bytes,
-            "payload must fit the exported buffer"
-        );
+    /// Returns the first [`FrontendConfigError`] the shape hits.
+    pub fn validate(&self) -> Result<(), FrontendConfigError> {
+        let checks = [
+            (self.connections == 0, FrontendConfigError::NoConnections),
+            (self.open_window == 0, FrontendConfigError::NoOpenWindow),
+            (self.requests_per_conn == 0, FrontendConfigError::NoRequests),
+            (self.credit_window == 0, FrontendConfigError::NoCredits),
+            (self.payload_bytes == 0, FrontendConfigError::EmptyPayload),
+            (
+                self.buffer_pages * PAGE_SIZE < self.payload_bytes,
+                FrontendConfigError::PayloadExceedsBuffer,
+            ),
+        ];
+        match checks.into_iter().find(|(bad, _)| *bad) {
+            Some((_, e)) => Err(e),
+            None => Ok(()),
+        }
     }
 
     /// Total requests the run offers if no connection is refused.
@@ -142,6 +143,38 @@ impl FrontendConfig {
         self.connections as u64 * self.requests_per_conn as u64
     }
 }
+
+/// Why a [`FrontendConfig`] cannot run (see [`FrontendConfig::validate`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrontendConfigError {
+    /// `connections` is zero.
+    NoConnections,
+    /// `open_window` is zero.
+    NoOpenWindow,
+    /// `requests_per_conn` is zero.
+    NoRequests,
+    /// `credit_window` is zero.
+    NoCredits,
+    /// `payload_bytes` is zero.
+    EmptyPayload,
+    /// `payload_bytes` exceeds the `buffer_pages` buffer.
+    PayloadExceedsBuffer,
+}
+
+impl std::fmt::Display for FrontendConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            FrontendConfigError::NoConnections => "frontend needs at least one connection",
+            FrontendConfigError::NoOpenWindow => "open window must admit a connection",
+            FrontendConfigError::NoRequests => "connections must issue requests",
+            FrontendConfigError::NoCredits => "credit window needs a credit",
+            FrontendConfigError::EmptyPayload => "zero-byte payloads carry nothing",
+            FrontendConfigError::PayloadExceedsBuffer => "payload must fit the exported buffer",
+        })
+    }
+}
+
+impl std::error::Error for FrontendConfigError {}
 
 /// What one front-end run produced. Aggregates and histograms only — never
 /// per-connection vectors — so the result is O(1) in the connection count.
@@ -236,11 +269,14 @@ where
 ///
 /// # Panics
 ///
-/// Panics if `connections > open_window`: connections beyond the window
-/// open mid-run at times only the reactor knows, so no arrival-time trace
-/// exists for them.
+/// Panics if `fcfg` fails [`FrontendConfig::validate`], or if
+/// `connections > open_window`: connections beyond the window open mid-run
+/// at times only the reactor knows, so no arrival-time trace exists for
+/// them.
 pub fn frontend_trace(fcfg: &FrontendConfig) -> Trace {
-    fcfg.validate();
+    if let Err(e) = fcfg.validate() {
+        panic!("invalid frontend config: {e}");
+    }
     assert!(
         fcfg.connections <= fcfg.open_window,
         "a materialized frontend trace needs every connection open from time zero"
@@ -275,6 +311,10 @@ pub fn frontend_trace(fcfg: &FrontendConfig) -> Trace {
 
 /// Convenience: the serial replay of [`frontend_trace`] under `cfg` — the
 /// reference run the equivalence gate compares a live front end against.
+///
+/// # Panics
+///
+/// Panics exactly as [`frontend_trace`] does.
 pub fn frontend_reference(
     mech: Mechanism,
     cfg: &SimConfig,
@@ -358,13 +398,62 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "payload must fit")]
-    fn oversized_payloads_panic() {
-        FrontendConfig {
-            payload_bytes: PAGE_SIZE * 3,
-            buffer_pages: 2,
-            ..tiny()
+    fn invalid_configs_are_typed_errors() {
+        let cases = [
+            (
+                FrontendConfig {
+                    connections: 0,
+                    ..tiny()
+                },
+                FrontendConfigError::NoConnections,
+            ),
+            (
+                FrontendConfig {
+                    open_window: 0,
+                    ..tiny()
+                },
+                FrontendConfigError::NoOpenWindow,
+            ),
+            (
+                FrontendConfig {
+                    requests_per_conn: 0,
+                    ..tiny()
+                },
+                FrontendConfigError::NoRequests,
+            ),
+            (
+                FrontendConfig {
+                    credit_window: 0,
+                    ..tiny()
+                },
+                FrontendConfigError::NoCredits,
+            ),
+            (
+                FrontendConfig {
+                    payload_bytes: 0,
+                    ..tiny()
+                },
+                FrontendConfigError::EmptyPayload,
+            ),
+            (
+                FrontendConfig {
+                    payload_bytes: PAGE_SIZE * 3,
+                    buffer_pages: 2,
+                    ..tiny()
+                },
+                FrontendConfigError::PayloadExceedsBuffer,
+            ),
+        ];
+        assert_eq!(tiny().validate(), Ok(()));
+        for (fcfg, want) in cases {
+            assert_eq!(fcfg.validate(), Err(want));
+            // Both front ends reject the shape before serving anything.
+            let single = Run::new(Mechanism::Utlb).frontend(fcfg.clone());
+            let clustered = single.clone().cluster(crate::ClusterConfig::new(2));
+            for run in [single, clustered] {
+                let err = run.execute(crate::Live).unwrap_err();
+                assert_eq!(err, crate::RunError::Frontend(want), "{want}");
+            }
         }
-        .validate();
     }
 }

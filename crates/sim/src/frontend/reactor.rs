@@ -169,7 +169,7 @@ pub(crate) trait BoardDriver {
 /// The reactor loop. See the [module docs](self) for the split of labor
 /// between the loop and the [`BoardDriver`].
 pub(crate) fn run_reactor<D: BoardDriver>(drv: &mut D, fcfg: &FrontendConfig) -> ReactorCounts {
-    fcfg.validate();
+    debug_assert_eq!(fcfg.validate(), Ok(()), "Run::execute validates first");
     let mut wire = [0u8; FRAME_BYTES];
 
     let mut offered = 0u64;

@@ -72,11 +72,12 @@ pub use cluster::{
 pub use config::{Mechanism, SimConfig, DEFAULT_HOST_FRAMES};
 pub use des_runner::{DesConfig, DesResult};
 pub use frontend::cluster::{ClusterFrontendResult, FrontendBoardCell};
-pub use frontend::{frontend_trace, FrontendConfig, FrontendResult};
+pub use frontend::{frontend_trace, FrontendConfig, FrontendConfigError, FrontendResult};
 pub use observe::ObsReport;
 pub use report::{phase_breakdown, wait_breakdown, TextTable};
 pub use run::{
-    Live, Run, RunError, RunInput, RunOutput, RunOutputExt, StreamVisitor, DEFAULT_OBS_RING,
+    ConfigConflict, InputMismatch, Live, Run, RunError, RunInput, RunOutput, RunOutputExt,
+    StreamVisitor, DEFAULT_OBS_RING,
 };
 pub use runner::{SimResult, SweepScratch, STREAM_CHUNK};
 pub use sweep::{

@@ -46,7 +46,7 @@
 use crate::cluster::{replay_cluster, ClusterConfig, ClusterResult, TopologyError};
 use crate::des_runner::{replay_des, DesResult};
 use crate::frontend::cluster::{replay_cluster_frontend, ClusterFrontendResult};
-use crate::frontend::{replay_frontend, FrontendConfig, FrontendResult};
+use crate::frontend::{replay_frontend, FrontendConfig, FrontendConfigError, FrontendResult};
 use crate::observe::{build_report, ObsReport};
 use crate::runner::{replay_stream, SimResult, SweepScratch};
 use crate::{Mechanism, SimConfig};
@@ -68,16 +68,21 @@ pub enum RunError {
     /// The run has no mechanism: use `Run::new(mech)` or
     /// [`Run::execute_with`].
     NoMechanism,
-    /// Two builder options cannot compose (e.g. a single-board frontend
-    /// with `.des()`). The message says which and what to drop.
-    IncompatibleConfig(&'static str),
-    /// The input shape does not fit the configured run (e.g. a trace fed
-    /// to a frontend run, or [`Live`] without `.frontend(cfg)`).
-    IncompatibleInput(&'static str),
+    /// Two builder options cannot compose.
+    IncompatibleConfig(ConfigConflict),
+    /// The input shape does not fit the configured run.
+    IncompatibleInput(InputMismatch),
+    /// [`Run::observed_ring`] was given a zero ring capacity.
+    EmptyObsRing,
+    /// The [`FrontendConfig`] cannot run (see [`FrontendConfig::validate`]).
+    Frontend(FrontendConfigError),
     /// The cluster topology does not fit the run: zero boards, a shard
     /// map that disagrees with the board count or misses a pid, or a
     /// migration naming an unknown pid or out-of-range board.
     Topology(TopologyError),
+    /// An observed accessor (e.g. `.into_observed()`) on a run built
+    /// without [`Run::observed`].
+    NotObserved,
     /// The output was read as a shape the run did not produce (e.g.
     /// `.into_sim()` on a cluster run).
     IncompatiblePayload {
@@ -86,6 +91,66 @@ pub enum RunError {
         /// The shape the run actually produced.
         actual: &'static str,
     },
+}
+
+/// Builder options that cannot compose, carried by
+/// [`RunError::IncompatibleConfig`]. The message says what to drop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConfigConflict {
+    /// A single-board frontend with `.des()`.
+    FrontendDes,
+    /// [`Run::execute_with`] on a cluster run, which builds one engine per
+    /// board.
+    ClusterEngine,
+    /// `.observed()` on a clustered frontend.
+    ObservedClusterFrontend,
+    /// Scheduled migrations on a clustered frontend.
+    FrontendMigrations,
+}
+
+impl std::fmt::Display for ConfigConflict {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            ConfigConflict::FrontendDes => {
+                "a single-board frontend run owns its own clock discipline: \
+                 drop .des() or add .cluster(topology)"
+            }
+            ConfigConflict::ClusterEngine => {
+                "cluster runs construct one engine per board: use Run::execute"
+            }
+            ConfigConflict::ObservedClusterFrontend => {
+                "a clustered frontend reports per-board metrics in its result cells: \
+                 drop .observed()"
+            }
+            ConfigConflict::FrontendMigrations => {
+                "scheduled migrations replay traces: the frontend re-homes \
+                 connections at admission instead"
+            }
+        })
+    }
+}
+
+/// Input shapes a configured run cannot consume, carried by
+/// [`RunError::IncompatibleInput`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InputMismatch {
+    /// A trace or stream fed to a frontend run.
+    TraceForFrontend,
+    /// [`Live`] fed to a run without `.frontend(cfg)`.
+    LiveWithoutFrontend,
+}
+
+impl std::fmt::Display for InputMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            InputMismatch::TraceForFrontend => {
+                "a frontend run generates its own requests: execute(Live), not a trace"
+            }
+            InputMismatch::LiveWithoutFrontend => {
+                "a Live input needs .frontend(cfg): nothing else generates requests"
+            }
+        })
+    }
 }
 
 impl std::fmt::Display for RunError {
@@ -97,10 +162,14 @@ impl std::fmt::Display for RunError {
                     "Run has no mechanism: use Run::new(mech) or Run::execute_with"
                 )
             }
-            RunError::IncompatibleConfig(msg) | RunError::IncompatibleInput(msg) => {
-                write!(f, "{msg}")
-            }
+            RunError::IncompatibleConfig(c) => write!(f, "{c}"),
+            RunError::IncompatibleInput(i) => write!(f, "{i}"),
+            RunError::EmptyObsRing => f.write_str("observed_ring needs a nonzero ring capacity"),
+            RunError::Frontend(e) => write!(f, "invalid frontend config: {e}"),
             RunError::Topology(e) => write!(f, "invalid cluster topology: {e}"),
+            RunError::NotObserved => {
+                f.write_str("not an observed run: configure with Run::observed")
+            }
             RunError::IncompatiblePayload { requested, actual } => write!(
                 f,
                 "not a {requested} run: the result is in .into_{actual}()"
@@ -173,11 +242,8 @@ impl Run {
     }
 
     /// [`observed`](Run::observed) with an explicit per-process ring
-    /// capacity.
-    ///
-    /// # Panics
-    ///
-    /// The run panics at execute time if `ring_capacity` is zero.
+    /// capacity. A zero capacity makes [`execute`](Run::execute) return
+    /// [`RunError::EmptyObsRing`].
     pub fn observed_ring(mut self, ring_capacity: usize) -> Self {
         self.obs_ring = Some(ring_capacity);
         self
@@ -224,8 +290,9 @@ impl Run {
     ///
     /// Returns a [`RunError`] on builder misuse: no mechanism
     /// ([`Run::with_config`] runs need [`execute_with`](Run::execute_with)),
-    /// an incompatible option combination, or an input shape the configured
-    /// run cannot consume.
+    /// an incompatible option combination, an input shape the configured
+    /// run cannot consume, a zero observation ring, an invalid frontend
+    /// config, or a topology that does not fit the run.
     ///
     /// # Panics
     ///
@@ -259,6 +326,7 @@ impl Run {
     ) -> Result<RunOutput, RunError> {
         let mech = self.mech.ok_or(RunError::NoMechanism)?;
         if self.cluster.is_some() {
+            self.check_values()?;
             if self.frontend.is_some() {
                 return input.dispatch(ClusterFrontendExec { run: self, mech });
             }
@@ -317,15 +385,26 @@ impl Run {
         M: TranslationMechanism + ?Sized,
     {
         if self.cluster.is_some() {
-            return Err(RunError::IncompatibleConfig(
-                "cluster runs construct one engine per board: use Run::execute",
-            ));
+            return Err(RunError::IncompatibleConfig(ConfigConflict::ClusterEngine));
         }
+        self.check_values()?;
         input.dispatch(EngineExec {
             run: self,
             engine,
             scratch,
         })
+    }
+
+    /// The option values every run shape rejects up front: a zero
+    /// observation ring and an invalid frontend config.
+    fn check_values(&self) -> Result<(), RunError> {
+        if self.obs_ring == Some(0) {
+            return Err(RunError::EmptyObsRing);
+        }
+        if let Some(fcfg) = &self.frontend {
+            fcfg.validate().map_err(RunError::Frontend)?;
+        }
+        Ok(())
     }
 }
 
@@ -429,13 +508,16 @@ impl<M: TranslationMechanism + ?Sized> StreamVisitor for EngineExec<'_, '_, '_, 
         let live = stream.workload() == LIVE_WORKLOAD;
         let (payload, board) = match (&self.run.frontend, &self.run.des) {
             (Some(_), Some(_)) => {
-                return Err(RunError::IncompatibleConfig(
-                    "a single-board frontend run owns its own clock discipline: \
-                     drop .des() or add .cluster(topology)",
+                return Err(RunError::IncompatibleConfig(ConfigConflict::FrontendDes))
+            }
+            (Some(_), None) if !live => {
+                return Err(RunError::IncompatibleInput(InputMismatch::TraceForFrontend))
+            }
+            (None, _) if live => {
+                return Err(RunError::IncompatibleInput(
+                    InputMismatch::LiveWithoutFrontend,
                 ))
             }
-            (Some(_), None) if !live => return Err(RunError::IncompatibleInput(FRONTEND_INPUT)),
-            (None, _) if live => return Err(RunError::IncompatibleInput(LIVE_INPUT)),
             (Some(fcfg), None) => {
                 let (r, board) =
                     replay_frontend(self.engine, &self.run.cfg, fcfg, collector.as_ref());
@@ -476,12 +558,6 @@ impl<M: TranslationMechanism + ?Sized> StreamVisitor for EngineExec<'_, '_, '_, 
     }
 }
 
-/// Why a trace or stream cannot feed a frontend run.
-const FRONTEND_INPUT: &str =
-    "a frontend run generates its own requests: execute(Live), not a trace";
-/// Why [`Live`] cannot feed a trace run.
-const LIVE_INPUT: &str = "a Live input needs .frontend(cfg): nothing else generates requests";
-
 /// Cluster trace execution: one engine per board, shared stations.
 struct ClusterExec<'r, 's> {
     run: &'r Run,
@@ -494,7 +570,9 @@ impl StreamVisitor for ClusterExec<'_, '_> {
 
     fn visit<S: TraceStream + ?Sized>(self, stream: &mut S) -> Result<RunOutput, RunError> {
         if stream.workload() == LIVE_WORKLOAD {
-            return Err(RunError::IncompatibleInput(LIVE_INPUT));
+            return Err(RunError::IncompatibleInput(
+                InputMismatch::LiveWithoutFrontend,
+            ));
         }
         let des = self.run.des.unwrap_or_default();
         let cluster = self.run.cluster.as_ref().expect("checked by execute");
@@ -525,19 +603,17 @@ impl StreamVisitor for ClusterFrontendExec<'_> {
 
     fn visit<S: TraceStream + ?Sized>(self, stream: &mut S) -> Result<RunOutput, RunError> {
         if stream.workload() != LIVE_WORKLOAD {
-            return Err(RunError::IncompatibleInput(FRONTEND_INPUT));
+            return Err(RunError::IncompatibleInput(InputMismatch::TraceForFrontend));
         }
         if self.run.obs_ring.is_some() {
             return Err(RunError::IncompatibleConfig(
-                "a clustered frontend reports per-board metrics in its result cells: \
-                 drop .observed()",
+                ConfigConflict::ObservedClusterFrontend,
             ));
         }
         let cluster = self.run.cluster.as_ref().expect("checked by execute");
         if !cluster.migrations.is_empty() {
             return Err(RunError::IncompatibleConfig(
-                "scheduled migrations replay traces: the frontend re-homes \
-                 connections at admission instead",
+                ConfigConflict::FrontendMigrations,
             ));
         }
         let fcfg = self.run.frontend.as_ref().expect("checked by execute");
@@ -718,9 +794,7 @@ impl RunOutput {
     /// Returns a [`RunError`] if the run was not both observed and a
     /// frontend run.
     pub fn into_frontend_observed(self) -> Result<(FrontendResult, ObsReport), RunError> {
-        let obs = self.obs.ok_or(RunError::IncompatibleConfig(
-            "not an observed run: configure with Run::observed",
-        ))?;
+        let obs = self.obs.ok_or(RunError::NotObserved)?;
         match self.payload {
             Payload::Frontend(r) => Ok((*r, obs)),
             other => payload_err("frontend", &other),
@@ -739,9 +813,7 @@ impl RunOutput {
     /// Returns a [`RunError`] if the run was not observed, or on cluster
     /// and frontend runs.
     pub fn into_observed(self) -> Result<(SimResult, ObsReport), RunError> {
-        let obs = self.obs.ok_or(RunError::IncompatibleConfig(
-            "not an observed run: configure with Run::observed",
-        ))?;
+        let obs = self.obs.ok_or(RunError::NotObserved)?;
         let sim = match self.payload {
             Payload::Sim(r) => r,
             Payload::Des(r) => r.base,
@@ -757,9 +829,7 @@ impl RunOutput {
     /// Returns a [`RunError`] if the run was not both observed and
     /// DES-timed.
     pub fn into_des_observed(self) -> Result<(DesResult, ObsReport), RunError> {
-        let obs = self.obs.ok_or(RunError::IncompatibleConfig(
-            "not an observed run: configure with Run::observed",
-        ))?;
+        let obs = self.obs.ok_or(RunError::NotObserved)?;
         match self.payload {
             Payload::Des(r) => Ok((*r, obs)),
             other => payload_err("des", &other),
@@ -950,6 +1020,83 @@ mod tests {
             .execute_with(&mut engine, &tiny())
             .unwrap_err();
         assert!(err.to_string().contains("use Run::execute"), "{err}");
+    }
+
+    /// Every bad builder shape maps to its own typed variant, on the entry
+    /// point that can reach it.
+    #[test]
+    fn every_bad_shape_is_a_typed_error() {
+        enum Via {
+            Trace,
+            Live,
+            Engine,
+        }
+        let sim = SimConfig::study(64);
+        let trace = tiny();
+        let fcfg = FrontendConfig {
+            connections: 1,
+            open_window: 1,
+            requests_per_conn: 4,
+            ..FrontendConfig::default()
+        };
+        let utlb = Run::new(Mechanism::Utlb).config(&sim);
+        let front = utlb.clone().frontend(fcfg);
+        let two = ClusterConfig::new(2);
+        let cases = [
+            (
+                front.clone().des(DesConfig::zero_contention()),
+                Via::Live,
+                RunError::IncompatibleConfig(ConfigConflict::FrontendDes),
+            ),
+            (
+                utlb.clone().cluster(two.clone()),
+                Via::Engine,
+                RunError::IncompatibleConfig(ConfigConflict::ClusterEngine),
+            ),
+            (
+                front.clone().cluster(two.clone()).observed(),
+                Via::Live,
+                RunError::IncompatibleConfig(ConfigConflict::ObservedClusterFrontend),
+            ),
+            (
+                front.clone().cluster(two.clone().migrate(1, 1, 1)),
+                Via::Live,
+                RunError::IncompatibleConfig(ConfigConflict::FrontendMigrations),
+            ),
+            (
+                front,
+                Via::Trace,
+                RunError::IncompatibleInput(InputMismatch::TraceForFrontend),
+            ),
+            (
+                utlb.clone(),
+                Via::Live,
+                RunError::IncompatibleInput(InputMismatch::LiveWithoutFrontend),
+            ),
+            (
+                utlb.clone().observed_ring(0),
+                Via::Trace,
+                RunError::EmptyObsRing,
+            ),
+            (
+                utlb.clone().cluster(two).observed_ring(0),
+                Via::Trace,
+                RunError::EmptyObsRing,
+            ),
+        ];
+        for (run, via, want) in cases {
+            let got = match via {
+                Via::Trace => run.execute(&trace),
+                Via::Live => run.execute(Live),
+                Via::Engine => {
+                    let mut engine = UtlbEngine::new(sim.utlb_config());
+                    run.execute_with(&mut engine, &trace)
+                }
+            };
+            assert_eq!(got.unwrap_err(), want, "{want}");
+        }
+        let err = utlb.execute(&trace).into_observed().unwrap_err();
+        assert_eq!(err, RunError::NotObserved);
     }
 
     #[test]

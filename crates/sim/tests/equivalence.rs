@@ -4,11 +4,14 @@
 //! each; both now ride the single builder-driven generic loop. The
 //! §3.1/§3.2 ablations likewise used to carry a bespoke `replay_trace`
 //! harness; they now go through the same loop. These tests replicate the
-//! *old* loops verbatim — driving the engines through their inherent
-//! methods, no trait involved — and require the refactored runners to
-//! produce byte-identical JSON.
+//! *old* loops — driving each engine one record (or one page) at a time
+//! through its scalar per-page walk, with no batching and no runner — and
+//! require the refactored runners to produce byte-identical JSON.
 
 use proptest::prelude::*;
+use std::cell::RefCell;
+use std::rc::Rc;
+use utlb_core::obs::{Event, Probe};
 use utlb_core::{
     CacheStats, IndexedEngine, IntrEngine, LookupBatch, OutcomeBuf, PerProcessEngine,
     TranslationMechanism, TranslationStats, UtlbEngine,
@@ -100,10 +103,10 @@ fn legacy_run_utlb(trace: &Trace, cfg: &SimConfig) -> SimResult {
     let t0 = board.clock.now();
     for rec in &trace.records {
         board.clock.advance_to(Nanos::from_nanos(rec.ts_ns));
-        let report = engine
+        let pages = engine
             .lookup_buffer(&mut host, &mut board, rec.pid, rec.va, rec.nbytes)
             .expect("trace lookups succeed");
-        for page in &report.pages {
+        for page in &pages {
             classifier.access(rec.pid, page.page, page.ni_miss);
         }
     }
@@ -144,7 +147,7 @@ fn legacy_run_intr(trace: &Trace, cfg: &SimConfig) -> SimResult {
         board.clock.advance_to(Nanos::from_nanos(rec.ts_ns));
         let npages = rec.va.span_pages(rec.nbytes);
         let outcomes = engine
-            .lookup(&mut host, &mut board, rec.pid, rec.va.page(), npages)
+            .lookup_run(&mut host, &mut board, rec.pid, rec.va.page(), npages)
             .expect("trace lookups succeed");
         for o in &outcomes {
             classifier.access(rec.pid, o.page, o.ni_miss);
@@ -168,8 +171,8 @@ fn legacy_run_intr(trace: &Trace, cfg: &SimConfig) -> SimResult {
 
 /// The pre-refactor ablation harness, verbatim from
 /// `experiments/ablations.rs`: spawn one process per trace pid, register,
-/// then walk every record's page span through a per-page `lookup` — never
-/// advancing the simulated clock.
+/// then walk every record's page span one page at a time — never advancing
+/// the simulated clock.
 fn legacy_replay<E>(
     trace: &Trace,
     engine: &mut E,
@@ -204,7 +207,7 @@ fn legacy_run_perproc(trace: &Trace, cfg: &SimConfig) -> TranslationStats {
                 .expect("registration succeeds");
         },
         |e, host, board, pid, page| {
-            e.lookup(host, board, pid, page)
+            e.lookup_run(host, board, pid, page, 1)
                 .expect("trace lookups succeed");
         },
     );
@@ -226,7 +229,7 @@ fn legacy_run_indexed(trace: &Trace, cfg: &SimConfig) -> (TranslationStats, Cach
                 .expect("registration succeeds");
         },
         |e, host, board, pid, page| {
-            e.lookup(host, board, pid, page)
+            e.lookup_run(host, board, pid, page, 1)
                 .expect("trace lookups succeed");
         },
     );
@@ -389,11 +392,30 @@ fn scalar_run_mechanism(mech: Mechanism, trace: &Trace, cfg: &SimConfig) -> SimR
     }
 }
 
+/// A probe that records every `(pid, event)` it sees, in order.
+#[derive(Debug, Clone, Default)]
+struct EventLog(Rc<RefCell<Vec<(ProcessId, Event)>>>);
+
+impl EventLog {
+    /// Returns the events recorded since the last call.
+    fn drain(&self) -> Vec<(ProcessId, Event)> {
+        std::mem::take(&mut *self.0.borrow_mut())
+    }
+}
+
+impl Probe for EventLog {
+    fn on_event(&mut self, pid: ProcessId, event: Event) {
+        self.0.borrow_mut().push((pid, event));
+    }
+}
+
 /// Drives two engines of the same type in lockstep — one through scalar
 /// `lookup_run`, one through batched `lookup_run_into` — asserting after
-/// *every record* that outcomes and simulated clocks agree, and at the end
-/// that all statistics do. Stronger than end-state JSON comparison: a
-/// transient divergence that later cancels out would still fail here.
+/// *every record* that outcomes, simulated clocks and the ordered
+/// `(pid, Event)` stream agree, and at the end that all statistics do.
+/// Stronger than end-state JSON comparison: a transient divergence that
+/// later cancels out would still fail here. The event order matters on its
+/// own: the DES overlay decodes each record's events into page demands.
 fn assert_batched_lockstep_matches_scalar<M: TranslationMechanism>(
     scalar: &mut M,
     batched: &mut M,
@@ -403,6 +425,9 @@ fn assert_batched_lockstep_matches_scalar<M: TranslationMechanism>(
     let mut host_b = Host::new(HOST_FRAMES);
     let mut board_s = Board::new();
     let mut board_b = Board::new();
+    let (events_s, events_b) = (EventLog::default(), EventLog::default());
+    scalar.set_probe(Box::new(events_s.clone()));
+    batched.set_probe(Box::new(events_b.clone()));
 
     let pids = trace.process_ids();
     for expected in &pids {
@@ -433,15 +458,16 @@ fn assert_batched_lockstep_matches_scalar<M: TranslationMechanism>(
                 &mut out,
             )
             .expect("trace lookups succeed");
-        assert_eq!(
-            out.as_slice(),
-            &pages[..],
-            "outcomes diverge at record {ix}"
-        );
+        assert_eq!(out, pages, "outcomes diverge at record {ix}");
         assert_eq!(
             board_s.clock.now(),
             board_b.clock.now(),
             "clocks diverge at record {ix}"
+        );
+        assert_eq!(
+            events_s.drain(),
+            events_b.drain(),
+            "events diverge at record {ix}"
         );
     }
 

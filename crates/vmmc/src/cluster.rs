@@ -10,7 +10,7 @@
 use crate::buffer::{Export, ExportId, Import, ImportId, PUBLIC_KEY};
 use crate::node::{Node, PendingFetch};
 use crate::{Result, VmmcError};
-use utlb_core::UtlbConfig;
+use utlb_core::{TranslationMechanism, UtlbConfig};
 use utlb_mem::{ProcessId, VirtAddr, PAGE_SIZE};
 use utlb_nic::packet::{DeliveryInfo, Packet, PacketKind};
 use utlb_nic::reliable::{RemapTable, DEFAULT_RTO};
@@ -399,14 +399,14 @@ impl Cluster {
         let mut cursor = va;
         while done < data.len() {
             let chunk = ((PAGE_SIZE - cursor.page_offset()) as usize).min(data.len() - done);
-            let report = node.utlb.lookup_buffer(
+            let pages = node.utlb.lookup_buffer(
                 &mut node.host,
                 &mut node.board,
                 pid,
                 cursor,
                 chunk as u64,
             )?;
-            let pa = report.pages[0].phys.offset(cursor.page_offset());
+            let pa = pages[0].phys.offset(cursor.page_offset());
             node.host
                 .physical_mut()
                 .write(pa, &data[done..done + chunk])?;
@@ -425,14 +425,14 @@ impl Cluster {
         let mut cursor = va;
         while done < buf.len() {
             let chunk = ((PAGE_SIZE - cursor.page_offset()) as usize).min(buf.len() - done);
-            let report = node.utlb.lookup_buffer(
+            let pages = node.utlb.lookup_buffer(
                 &mut node.host,
                 &mut node.board,
                 pid,
                 cursor,
                 chunk as u64,
             )?;
-            let pa = report.pages[0].phys.offset(cursor.page_offset());
+            let pa = pages[0].phys.offset(cursor.page_offset());
             node.host
                 .physical()
                 .read(pa, &mut buf[done..done + chunk])?;

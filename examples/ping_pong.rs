@@ -12,6 +12,7 @@
 //! cargo run --example ping_pong [rounds] [bytes]
 //! ```
 
+use utlb_core::TranslationMechanism;
 use utlb_msg::{ChannelConfig, Fabric, RecvBuf};
 use utlb_vmmc::Cluster;
 

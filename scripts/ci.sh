@@ -6,6 +6,22 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Runs `cargo test -q --offline <args>` and fails if it ran no test at all.
+# cargo exits 0 when a name filter matches nothing, so without this count a
+# gate whose tests were moved or renamed would pass silently.
+gate() {
+    local log passed
+    log=$(mktemp)
+    cargo test -q --offline "$@" 2>&1 | tee "$log"
+    passed=$(sed -n 's/^test result: .* \([0-9][0-9]*\) passed;.*/\1/p' "$log" |
+        awk '{n += $1} END {print n + 0}')
+    rm -f "$log"
+    if [ "$passed" -eq 0 ]; then
+        echo "gate ran no tests: cargo test $*" >&2
+        return 1
+    fi
+}
+
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -23,56 +39,57 @@ echo "== benchmark: perfbench builds against the current API (held-out-seed self
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== observability: runner-equivalence and probe-reconciliation tests"
-cargo test -q --offline -p utlb-sim --test equivalence
-cargo test -q --offline -p utlb-core obs::
-cargo test -q --offline -p utlb-core mechanism::
+gate -p utlb-sim --test equivalence
+gate -p utlb-core obs::
+gate -p utlb-core mechanism::
 
 echo "== four-mechanism unification: shared pin core and variant ablations"
-cargo test -q --offline -p utlb-core pincore::
-cargo test -q --offline -p utlb-core perproc::
-cargo test -q --offline -p utlb-core indexed::
-cargo test -q --offline -p utlb-sim ablations::
+gate -p utlb-core pincore::
+gate -p utlb-core perproc::
+gate -p utlb-core intr::
+gate -p utlb-core indexed::
+gate -p utlb-sim ablations::
 
 echo "== observability: no-op probe overhead guard (<10%)"
 cargo run -q --release --offline -p utlb-bench --bin obs_guard -- --scale 0.3
 
 echo "== DES: core unit tests and zero-contention equivalence gate"
-cargo test -q --offline -p utlb-des
-cargo test -q --offline -p utlb-sim des_runner::
-cargo test -q --offline -p utlb-sim --test des_equivalence
+gate -p utlb-des
+gate -p utlb-sim des_runner::
+gate -p utlb-sim --test des_equivalence
 
 echo "== DES: contention experiments (load monotonicity, interference, per-mechanism axis)"
-cargo test -q --offline -p utlb-sim contention::
+gate -p utlb-sim contention::
 
 echo "== batched lookup path: scalar-equivalence gate"
-cargo test -q --offline -p utlb-sim --test equivalence scalar
-cargo test -q --offline -p utlb-core batch::
-cargo test -q --offline -p utlb-core pinned_prefix
-cargo test -q --offline -p utlb-bench scalar_baseline
+gate -p utlb-sim --test equivalence scalar
+gate -p utlb-core batch::
+gate -p utlb-core pinned_prefix
+gate -p utlb-bench scalar_baseline
 
 echo "== streaming: fused generate+replay byte-identity gate"
-cargo test -q --offline -p utlb-sim --test stream_equivalence
-cargo test -q --offline -p utlb-trace merge::
-cargo test -q --offline -p utlb-trace stream::
-cargo test -q --offline -p utlb-trace synth::
+gate -p utlb-sim --test stream_equivalence
+gate -p utlb-trace merge::
+gate -p utlb-trace stream::
+gate -p utlb-trace synth::
 
 echo "== streaming: bounded-memory scale run (small epoch count)"
 UTLB_STREAM_EPOCHS=40 cargo run -q --release --offline -p utlb-bench --bin stream_scale
 
 echo "== builder: spelling-equivalence of the Run builder (legacy shims are gone)"
-cargo test -q --offline -p utlb-sim --test builder_equivalence
-cargo test -q --offline -p utlb-sim run::
+gate -p utlb-sim --test builder_equivalence
+gate -p utlb-sim run::
 
 echo "== sweep executor: scheduling, scratch, poison, and checkpoint unit tests"
-cargo test -q --offline -p utlb-sim sweep::
+gate -p utlb-sim sweep::
 
 echo "== sweep executor: 1-vs-N byte-identity and checkpointed driver resume"
-cargo test -q --offline -p utlb-sim --test sweep_determinism
-cargo test -q --offline -p utlb-sim --test sweep_scaling
+gate -p utlb-sim --test sweep_determinism
+gate -p utlb-sim --test sweep_scaling
 
 echo "== cluster: 1-board bit-exactness, determinism, migration proptest"
-cargo test -q --offline -p utlb-sim --test cluster
-cargo test -q --offline -p utlb-sim cluster::
+gate -p utlb-sim --test cluster
+gate -p utlb-sim cluster::
 
 echo "== cluster: capped-axis scaling run (full axis reserved for the archive)"
 UTLB_CLUSTER_NODES=8 cargo run -q --release --offline -p utlb-bench --bin cluster -- --scale 0.1
@@ -81,8 +98,8 @@ echo "== cluster: 1-vs-8-board replay bench smoke"
 cargo bench -q --offline -p utlb-bench --bench cluster_replay -- --test
 
 echo "== frontend: unit, lifecycle, and bit-exactness tests"
-cargo test -q --offline -p utlb-sim --test frontend
-cargo test -q --offline -p utlb-sim frontend
+gate -p utlb-sim --test frontend
+gate -p utlb-sim frontend
 
 echo "== frontend: capped smoke run, byte-identical at 1 vs 4 sweep workers"
 UTLB_FRONTEND_CONNS=1000 UTLB_SIM_THREADS=1 \
@@ -97,8 +114,8 @@ echo "== frontend: live-reactor-vs-trace-replay bench smoke"
 cargo bench -q --offline -p utlb-bench --bench frontend -- --test
 
 echo "== clustered frontend: 1-board byte-identity, redirect gradient, residency proptest"
-cargo test -q --offline -p utlb-sim --test cluster_frontend
-cargo test -q --offline -p utlb-sim cluster_frontend::
+gate -p utlb-sim --test cluster_frontend
+gate -p utlb-sim cluster_frontend::
 
 echo "== clustered frontend: capped smoke run, byte-identical at 1 vs 4 sweep workers"
 UTLB_CLUSTER_FRONTEND_CONNS=2000 UTLB_SIM_THREADS=1 \

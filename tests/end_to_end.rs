@@ -4,7 +4,7 @@
 //! `utlb-core` → `utlb-vmmc`, asserting the paper's architectural claims on
 //! the assembled system rather than on any single crate.
 
-use utlb_core::{CacheConfig, Policy, UtlbConfig};
+use utlb_core::{CacheConfig, Policy, TranslationMechanism, UtlbConfig};
 use utlb_mem::{VirtAddr, PAGE_SIZE};
 use utlb_nic::packet::Packet;
 use utlb_vmmc::Cluster;
