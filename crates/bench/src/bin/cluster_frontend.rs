@@ -4,72 +4,15 @@
 //! stations — capacity and tail latency over a boards × homing-policy ×
 //! mechanism grid, archived to `results/cluster_frontend.json`.
 //!
-//! A full (uncapped) run also archives the sweep's wall-clock numbers and
-//! a 1-vs-N-board overhead pair to `BENCH_cluster_frontend.json`.
-//!
 //! `UTLB_CLUSTER_FRONTEND_CONNS` caps the connection count (CI smoke runs
 //! use a small value); a capped run writes
 //! `results/cluster_frontend_smoke.json` instead so the archived
 //! full-churn numbers are never clobbered.
 
-use std::time::Instant;
 use utlb_sim::experiments::{cluster_frontend, CLUSTER_FRONTEND_CONNS, CLUSTER_FRONTEND_NODES};
-use utlb_sim::frontend::FrontendConfig;
-use utlb_sim::RunOutputExt;
-use utlb_sim::{ClusterConfig, Live, Mechanism, Run, SimConfig};
 
 /// NIC cache entries — the paper's default study point.
 const CACHE_ENTRIES: usize = 8192;
-
-/// Wall-clock cost of the grid plus the cluster driver's own overhead:
-/// the same churn served by one board and by eight, timed.
-#[derive(Debug, serde::Serialize)]
-struct BenchClusterFrontend {
-    cells: usize,
-    sweep_wall_ms: f64,
-    served_requests: u64,
-    wall_requests_per_sec: f64,
-    churn_connections: usize,
-    one_board_wall_ms: f64,
-    eight_board_wall_ms: f64,
-    /// eight / one: what homing, redirects, and shared-station pricing
-    /// cost on top of a single board serving the same churn.
-    eight_over_one: f64,
-}
-
-fn bench_cluster_reactor() -> (usize, f64, f64) {
-    let sim = SimConfig::study(CACHE_ENTRIES);
-    let fcfg = FrontendConfig {
-        connections: 2_048,
-        open_window: 256,
-        requests_per_conn: 8,
-        ..FrontendConfig::default()
-    };
-    let run_nodes = |nodes: usize| {
-        Run::new(Mechanism::Indexed)
-            .config(&sim)
-            .frontend(fcfg.clone())
-            .cluster(ClusterConfig::new(nodes))
-            .execute(Live)
-            .into_cluster_frontend()
-            .unwrap()
-    };
-    // One warm-up each, then a timed pass of several iterations.
-    let _ = run_nodes(1).served;
-    let _ = run_nodes(8).served;
-    const ITERS: u32 = 5;
-    let t = Instant::now();
-    for _ in 0..ITERS {
-        let _ = run_nodes(1);
-    }
-    let one_ms = t.elapsed().as_secs_f64() * 1e3 / f64::from(ITERS);
-    let t = Instant::now();
-    for _ in 0..ITERS {
-        let _ = run_nodes(8);
-    }
-    let eight_ms = t.elapsed().as_secs_f64() * 1e3 / f64::from(ITERS);
-    (fcfg.connections, one_ms, eight_ms)
-}
 
 fn main() {
     let cap: Option<usize> = std::env::var("UTLB_CLUSTER_FRONTEND_CONNS")
@@ -82,53 +25,21 @@ fn main() {
         "cluster_frontend: {connections} connections over {CLUSTER_FRONTEND_NODES:?} boards \
          × 2 homing policies × 4 mechanisms..."
     );
-    let sweep_start = Instant::now();
     let result = cluster_frontend(CACHE_ENTRIES, connections, &CLUSTER_FRONTEND_NODES);
-    let sweep_wall_ms = sweep_start.elapsed().as_secs_f64() * 1e3;
     println!("{result}");
 
     let body = serde_json::to_string_pretty(&result).expect("cluster frontend serializes");
     std::fs::create_dir_all("results").expect("create results/");
     let dest = if cap.is_none() {
-        std::fs::write("results/cluster_frontend.json", &body)
-            .expect("write results/cluster_frontend.json");
         "results/cluster_frontend.json"
     } else {
-        std::fs::write("results/cluster_frontend_smoke.json", &body)
-            .expect("write results/cluster_frontend_smoke.json");
         "results/cluster_frontend_smoke.json"
     };
+    std::fs::write(dest, &body).expect("write the cluster frontend result");
     eprintln!(
         "cluster_frontend: {} cells, detail at {} boards ({} homing) → {dest}",
         result.cells.len(),
         result.detail.nodes,
         result.detail.homing,
     );
-
-    if cap.is_none() {
-        // Only a full-churn run updates the archived wall-clock numbers.
-        let served: u64 = result.cells.iter().map(|c| c.served).sum();
-        let (churn_connections, one_board_wall_ms, eight_board_wall_ms) = bench_cluster_reactor();
-        let bench = BenchClusterFrontend {
-            cells: result.cells.len(),
-            sweep_wall_ms,
-            served_requests: served,
-            wall_requests_per_sec: served as f64 / (sweep_wall_ms / 1e3),
-            churn_connections,
-            one_board_wall_ms,
-            eight_board_wall_ms,
-            eight_over_one: eight_board_wall_ms / one_board_wall_ms,
-        };
-        let body = serde_json::to_string_pretty(&bench).expect("bench serializes");
-        std::fs::write("BENCH_cluster_frontend.json", &body)
-            .expect("write BENCH_cluster_frontend.json");
-        eprintln!(
-            "cluster_frontend bench: {} cells in {:.1} s ({:.2} M req/s wall), \
-             8-board/1-board {:.2}x → BENCH_cluster_frontend.json",
-            bench.cells,
-            bench.sweep_wall_ms / 1e3,
-            bench.wall_requests_per_sec / 1e6,
-            bench.eight_over_one,
-        );
-    }
 }

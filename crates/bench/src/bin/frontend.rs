@@ -4,73 +4,14 @@
 //! per-mechanism throughput / tail latency over a connections × offered-
 //! load grid, archived to `results/frontend.json`.
 //!
-//! A full (uncapped) run also times the sweep and a live-vs-trace-replay
-//! pair and archives the wall-clock numbers to `BENCH_frontend.json`.
-//!
 //! `UTLB_FRONTEND_CONNS` caps the connection axis (CI smoke runs use a
 //! small value); a capped run writes `results/frontend_smoke.json` instead
 //! so the archived full-axis numbers are never clobbered.
 
-use std::time::Instant;
 use utlb_sim::experiments::{frontend_load, FRONTEND_CONNS};
-use utlb_sim::frontend::{frontend_trace, FrontendConfig};
-use utlb_sim::RunOutputExt;
-use utlb_sim::{Live, Mechanism, Run, SimConfig};
 
 /// NIC cache entries — the paper's default study point.
 const CACHE_ENTRIES: usize = 8192;
-
-/// Wall-clock cost of the sweep plus the reactor's own overhead: the same
-/// steady workload served live (handshakes, credit admission, teardown)
-/// and replayed serially from its materialized trace.
-#[derive(Debug, serde::Serialize)]
-struct BenchFrontend {
-    cells: usize,
-    sweep_wall_ms: f64,
-    served_requests: u64,
-    wall_requests_per_sec: f64,
-    live_requests: u64,
-    live_wall_ms: f64,
-    trace_replay_wall_ms: f64,
-    /// live / trace_replay: what the connection lifecycle costs on top of
-    /// translation for an identical request stream.
-    live_over_replay: f64,
-}
-
-fn bench_reactor() -> (u64, f64, f64) {
-    let sim = SimConfig::study(CACHE_ENTRIES);
-    // All connections stay open with a wide window: the live run and the
-    // serial replay of its own trace then do identical translation work.
-    let fcfg = FrontendConfig {
-        connections: 32,
-        open_window: 32,
-        requests_per_conn: 256,
-        credit_window: 256,
-        queue_depth: 0,
-        ..FrontendConfig::default()
-    };
-    let requests = (fcfg.connections * fcfg.requests_per_conn) as u64;
-    let trace = frontend_trace(&fcfg);
-    let live = Run::new(Mechanism::Utlb).config(&sim).frontend(fcfg);
-    let serial = Run::new(Mechanism::Utlb).config(&sim);
-
-    // One warm-up each, then a timed pass of several iterations.
-    let _ = live.execute(Live).into_frontend().unwrap().served;
-    let _ = serial.execute(&trace).into_sim().unwrap().stats.lookups;
-    const ITERS: u32 = 10;
-    let t = Instant::now();
-    for _ in 0..ITERS {
-        let r = live.execute(Live).into_frontend().unwrap();
-        assert_eq!(r.served, requests);
-    }
-    let live_ms = t.elapsed().as_secs_f64() * 1e3 / f64::from(ITERS);
-    let t = Instant::now();
-    for _ in 0..ITERS {
-        let _ = serial.execute(&trace).into_sim().unwrap();
-    }
-    let replay_ms = t.elapsed().as_secs_f64() * 1e3 / f64::from(ITERS);
-    (requests, live_ms, replay_ms)
-}
 
 fn main() {
     let cap: Option<usize> = std::env::var("UTLB_FRONTEND_CONNS")
@@ -88,51 +29,21 @@ fn main() {
     eprintln!(
         "frontend: request-plane sweep over {axis:?} connections × 2 loads × 4 mechanisms..."
     );
-    let sweep_start = Instant::now();
     let result = frontend_load(CACHE_ENTRIES, &axis);
-    let sweep_wall_ms = sweep_start.elapsed().as_secs_f64() * 1e3;
     println!("{result}");
 
     let body = serde_json::to_string_pretty(&result).expect("frontend load serializes");
     std::fs::create_dir_all("results").expect("create results/");
     let dest = if cap.is_none() {
-        std::fs::write("results/frontend.json", &body).expect("write results/frontend.json");
         "results/frontend.json"
     } else {
-        std::fs::write("results/frontend_smoke.json", &body)
-            .expect("write results/frontend_smoke.json");
         "results/frontend_smoke.json"
     };
+    std::fs::write(dest, &body).expect("write the frontend result");
     eprintln!(
         "frontend: {} cells across {} connection counts, detail at {} connections → {dest}",
         result.cells.len(),
         result.axes.conns_axis.len(),
         result.detail.connections
     );
-
-    if cap.is_none() {
-        // Only a full-axis run updates the archived wall-clock numbers.
-        let served: u64 = result.cells.iter().map(|c| c.served).sum();
-        let (live_requests, live_wall_ms, trace_replay_wall_ms) = bench_reactor();
-        let bench = BenchFrontend {
-            cells: result.cells.len(),
-            sweep_wall_ms,
-            served_requests: served,
-            wall_requests_per_sec: served as f64 / (sweep_wall_ms / 1e3),
-            live_requests,
-            live_wall_ms,
-            trace_replay_wall_ms,
-            live_over_replay: live_wall_ms / trace_replay_wall_ms,
-        };
-        let body = serde_json::to_string_pretty(&bench).expect("bench serializes");
-        std::fs::write("BENCH_frontend.json", &body).expect("write BENCH_frontend.json");
-        eprintln!(
-            "frontend bench: {} cells in {:.1} s ({:.2} M req/s wall), \
-             live/replay {:.2}x → BENCH_frontend.json",
-            bench.cells,
-            bench.sweep_wall_ms / 1e3,
-            bench.wall_requests_per_sec / 1e6,
-            bench.live_over_replay,
-        );
-    }
 }

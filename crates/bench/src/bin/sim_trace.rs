@@ -19,8 +19,14 @@ fn main() {
     let entries: usize = args.next().and_then(|v| v.parse().ok()).unwrap_or(8192);
     let limit: Option<u64> = args.next().and_then(|v| v.parse().ok());
 
-    let file = File::open(&path).expect("open trace file");
-    let trace = utlb_trace::read_jsonl(BufReader::new(file)).expect("parse trace");
+    // A trace file is user input: report what is wrong with it and exit,
+    // rather than panic.
+    let fail = |e: &dyn std::fmt::Display| -> ! {
+        eprintln!("sim_trace: {path}: {e}");
+        std::process::exit(1);
+    };
+    let file = File::open(&path).unwrap_or_else(|e| fail(&e));
+    let trace = utlb_trace::read_jsonl(BufReader::new(file)).unwrap_or_else(|e| fail(&e));
     println!(
         "{}: {} records, {} lookups, {} footprint pages",
         trace.workload,
@@ -35,12 +41,12 @@ fn main() {
         .config(&sim)
         .execute(&trace)
         .into_sim()
-        .unwrap();
+        .unwrap_or_else(|e| fail(&e));
     let i = Run::new(Mechanism::Intr)
         .config(&sim)
         .execute(&trace)
         .into_sim()
-        .unwrap();
+        .unwrap_or_else(|e| fail(&e));
     println!("cache {entries} entries, mem limit {limit:?} pages/process\n");
     println!(
         "{:<8}{:>12}{:>12}{:>12}{:>14}{:>12}",

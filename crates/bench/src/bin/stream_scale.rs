@@ -1,7 +1,7 @@
 //! Fused generate+replay at scale: replays a looped ~100M-lookup workload
 //! that is never materialized, then the largest materialized paper trace as
 //! baseline, archiving throughput, scale factor, and peak RSS to
-//! `BENCH_stream.json` (and `results/stream_scale.json`).
+//! `results/stream_scale.json`.
 //!
 //! The streamed run executes before anything else in this process so the
 //! `VmHWM` reading reflects the streaming replay loop, not earlier
@@ -43,18 +43,14 @@ fn main() {
 
     let body = serde_json::to_string_pretty(&result).expect("stream scale serializes");
     std::fs::create_dir_all("results").expect("create results/");
+    // Only a full-length run updates the archived numbers; CI's small
+    // smoke run (UTLB_STREAM_EPOCHS) must not clobber them.
     let dest = if epochs == DEFAULT_EPOCHS {
-        // Only a full-length run updates the archived numbers; CI's small
-        // smoke run (UTLB_STREAM_EPOCHS) must not clobber them.
-        std::fs::write("results/stream_scale.json", &body)
-            .expect("write results/stream_scale.json");
-        std::fs::write("BENCH_stream.json", &body).expect("write BENCH_stream.json");
-        "BENCH_stream.json"
+        "results/stream_scale.json"
     } else {
-        std::fs::write("results/stream_scale_smoke.json", &body)
-            .expect("write results/stream_scale_smoke.json");
         "results/stream_scale_smoke.json"
     };
+    std::fs::write(dest, &body).expect("write the stream scale result");
     eprintln!(
         "stream scale: {:.1}M lookups at {:.2} Mlookups/s, {:.1}x the baseline, \
          peak RSS {} KiB → {dest}",

@@ -9,8 +9,8 @@
 //! * [`Probe`] — a lightweight trait engines emit typed [`Event`]s into.
 //!   Engines hold a [`ProbeSlot`] that defaults to *detached*; with no
 //!   probe attached the emission path is a single `Option` branch, so the
-//!   hot path keeps its cost (guarded by the criterion `sweep` bench and
-//!   `scripts/ci.sh`'s overhead gate).
+//!   hot path keeps its cost (guarded by the `obs_guard` overhead gate in
+//!   `scripts/ci.sh`).
 //! * [`Histogram`] — log₂-bucketed latency accounting, mergeable across
 //!   sweep workers.
 //! * [`Metrics`] — per-event counters plus pin/unpin/DMA/interrupt/lookup

@@ -465,12 +465,13 @@ impl TraceRun {
     }
 }
 
-/// The replay loop. Spawns the stream's processes on one host (pids dense
-/// from 1), registering each on `home(pid)`; then consumes the stream in
-/// [`STREAM_CHUNK`]-sized refills of the caller's scratch arena, applying
-/// each due migration (`migrations` sorted by `at_ns`) before the record
-/// it falls due at, and serving every record on its pid's current board.
-/// Migrations due past the last record still apply.
+/// The replay loop. Spawns the stream's processes `pids` on one host
+/// (dense from 1, checked by the caller), registering each on
+/// `home(pid)`; then consumes the stream in [`STREAM_CHUNK`]-sized
+/// refills of the caller's scratch arena, applying each due migration
+/// (`migrations` sorted by `at_ns`) before the record it falls due at,
+/// and serving every record on its pid's current board. Migrations due
+/// past the last record still apply.
 ///
 /// Registration precedes all traffic: each board's span starts at its
 /// registration end, and its firmware is busy until then — the serial
@@ -479,6 +480,7 @@ pub(crate) fn replay_trace<M, S>(
     boards: &mut [BoardSim<'_, M>],
     host_frames: u64,
     stream: &mut S,
+    pids: &[ProcessId],
     home: impl Fn(ProcessId) -> usize,
     migrations: &[Migration],
     scratch: &mut SweepScratch,
@@ -488,9 +490,8 @@ where
     S: TraceStream + ?Sized,
 {
     let mut host = Host::new(host_frames);
-    let pids = stream.process_ids();
     let mut route = Vec::with_capacity(pids.len());
-    for expected in &pids {
+    for expected in pids {
         let pid = host.spawn_process();
         assert_eq!(pid, *expected, "trace pids must be dense from 1");
         let ix = home(pid);

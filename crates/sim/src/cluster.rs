@@ -385,6 +385,7 @@ impl ClusterResult {
 pub(crate) fn replay_cluster<S>(
     mech: Mechanism,
     stream: &mut S,
+    pids: &[ProcessId],
     cfg: &SimConfig,
     des: &DesConfig,
     cluster: &ClusterConfig,
@@ -393,7 +394,7 @@ pub(crate) fn replay_cluster<S>(
 where
     S: TraceStream + ?Sized,
 {
-    let shard = cluster.placement(&stream.process_ids())?;
+    let shard = cluster.placement(pids)?;
     let mut migrations = cluster.migrations.clone();
     migrations.sort_by_key(|m| m.at_ns);
 
@@ -411,6 +412,7 @@ where
         &mut boards,
         cfg.host_frames,
         stream,
+        pids,
         home,
         &migrations,
         scratch,

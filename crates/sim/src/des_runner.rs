@@ -28,6 +28,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use utlb_core::obs::{Histogram, SharedCollector};
 use utlb_core::TranslationMechanism;
+use utlb_mem::ProcessId;
 use utlb_nic::BoardSnapshot;
 use utlb_trace::TraceStream;
 
@@ -117,6 +118,7 @@ impl DesResult {
 pub(crate) fn replay_des<M, S>(
     engine: &mut M,
     stream: &mut S,
+    pids: &[ProcessId],
     cfg: &SimConfig,
     des: &DesConfig,
     obs: Option<&SharedCollector>,
@@ -130,7 +132,15 @@ where
     let classifier = MissClassifier::new(cfg.cache_entries);
     let mut boards =
         [BoardSim::new(engine, Some(classifier), obs.cloned()).with_stations(des, &shared)];
-    let run = replay_trace(&mut boards, cfg.host_frames, stream, |_| 0, &[], scratch);
+    let run = replay_trace(
+        &mut boards,
+        cfg.host_frames,
+        stream,
+        pids,
+        |_| 0,
+        &[],
+        scratch,
+    );
     let b = &boards[0];
     let st = b.stations.as_ref().expect("a DES board has stations");
     let mut resources = st.reports().to_vec();

@@ -80,7 +80,4 @@ pub use run::{
     StreamVisitor, DEFAULT_OBS_RING,
 };
 pub use runner::{SimResult, SweepScratch, STREAM_CHUNK};
-pub use sweep::{
-    sweep, sweep_over, sweep_over_with, sweep_with, worker_count, worker_topology, SweepGrid,
-    WorkerSource, WorkerTopology,
-};
+pub use sweep::{sweep, sweep_over, sweep_over_with, sweep_with, worker_count, SweepGrid};

@@ -138,6 +138,9 @@ pub enum InputMismatch {
     TraceForFrontend,
     /// [`Live`] fed to a run without `.frontend(cfg)`.
     LiveWithoutFrontend,
+    /// A trace whose pids are not 1, 2, …, n: the replay spawns the
+    /// trace's processes on one host, which numbers them in that order.
+    SparsePids,
 }
 
 impl std::fmt::Display for InputMismatch {
@@ -148,6 +151,9 @@ impl std::fmt::Display for InputMismatch {
             }
             InputMismatch::LiveWithoutFrontend => {
                 "a Live input needs .frontend(cfg): nothing else generates requests"
+            }
+            InputMismatch::SparsePids => {
+                "trace pids must be dense from 1: the replay host numbers processes 1, 2, …, n"
             }
         })
     }
@@ -291,8 +297,9 @@ impl Run {
     /// Returns a [`RunError`] on builder misuse: no mechanism
     /// ([`Run::with_config`] runs need [`execute_with`](Run::execute_with)),
     /// an incompatible option combination, an input shape the configured
-    /// run cannot consume, a zero observation ring, an invalid frontend
-    /// config, or a topology that does not fit the run.
+    /// run cannot consume (including a trace whose pids are not dense
+    /// from 1), a zero observation ring, an invalid frontend config, or a
+    /// topology that does not fit the run.
     ///
     /// # Panics
     ///
@@ -491,6 +498,18 @@ impl RunInput for Live {
     }
 }
 
+/// The stream's pids, or [`InputMismatch::SparsePids`] unless they are
+/// exactly 1, 2, …, n — the numbering the replay host gives the processes
+/// it spawns. One pass over the pid list, none over the records.
+fn dense_pids<S: TraceStream + ?Sized>(stream: &S) -> Result<Vec<ProcessId>, RunError> {
+    let pids = stream.process_ids();
+    if (1..).zip(&pids).all(|(n, pid)| pid.raw() == n) {
+        Ok(pids)
+    } else {
+        Err(RunError::IncompatibleInput(InputMismatch::SparsePids))
+    }
+}
+
 /// Single-engine execution: serial or DES, observed or plain. The scratch
 /// arena feeds the trace replay loops; the frontend branch (live requests,
 /// no trace) ignores it.
@@ -524,9 +543,11 @@ impl<M: TranslationMechanism + ?Sized> StreamVisitor for EngineExec<'_, '_, '_, 
                 (Payload::Frontend(Box::new(r)), board)
             }
             (None, Some(des)) => {
+                let pids = dense_pids(stream)?;
                 let (r, board) = replay_des(
                     self.engine,
                     stream,
+                    &pids,
                     &self.run.cfg,
                     des,
                     collector.as_ref(),
@@ -535,9 +556,11 @@ impl<M: TranslationMechanism + ?Sized> StreamVisitor for EngineExec<'_, '_, '_, 
                 (Payload::Des(Box::new(r)), board)
             }
             (None, None) => {
+                let pids = dense_pids(stream)?;
                 let (r, board) = replay_stream(
                     self.engine,
                     stream,
+                    &pids,
                     &self.run.cfg,
                     collector.as_ref(),
                     self.scratch,
@@ -574,11 +597,13 @@ impl StreamVisitor for ClusterExec<'_, '_> {
                 InputMismatch::LiveWithoutFrontend,
             ));
         }
+        let pids = dense_pids(stream)?;
         let des = self.run.des.unwrap_or_default();
         let cluster = self.run.cluster.as_ref().expect("checked by execute");
         let result = replay_cluster(
             self.mech,
             stream,
+            &pids,
             &self.run.cfg,
             &des,
             cluster,
@@ -1030,9 +1055,22 @@ mod tests {
             Trace,
             Live,
             Engine,
+            Sparse,
         }
         let sim = SimConfig::study(64);
         let trace = tiny();
+        // One process, pid 2: the replay host would spawn it as pid 1.
+        let sparse = Trace::new(
+            "sparse",
+            0,
+            vec![TraceRecord {
+                ts_ns: 0,
+                pid: ProcessId::new(2),
+                op: utlb_trace::Op::Send,
+                va: utlb_mem::VirtAddr::new(0),
+                nbytes: 64,
+            }],
+        );
         let fcfg = FrontendConfig {
             connections: 1,
             open_window: 1,
@@ -1079,15 +1117,31 @@ mod tests {
                 RunError::EmptyObsRing,
             ),
             (
-                utlb.clone().cluster(two).observed_ring(0),
+                utlb.clone().cluster(two.clone()).observed_ring(0),
                 Via::Trace,
                 RunError::EmptyObsRing,
+            ),
+            (
+                utlb.clone(),
+                Via::Sparse,
+                RunError::IncompatibleInput(InputMismatch::SparsePids),
+            ),
+            (
+                utlb.clone().des(DesConfig::zero_contention()),
+                Via::Sparse,
+                RunError::IncompatibleInput(InputMismatch::SparsePids),
+            ),
+            (
+                utlb.clone().cluster(two),
+                Via::Sparse,
+                RunError::IncompatibleInput(InputMismatch::SparsePids),
             ),
         ];
         for (run, via, want) in cases {
             let got = match via {
                 Via::Trace => run.execute(&trace),
                 Via::Live => run.execute(Live),
+                Via::Sparse => run.execute(&sparse),
                 Via::Engine => {
                     let mut engine = UtlbEngine::new(sim.utlb_config());
                     run.execute_with(&mut engine, &trace)

@@ -12,6 +12,7 @@ use crate::{MissBreakdown, MissClassifier, SimConfig};
 use serde::{Deserialize, Serialize};
 use utlb_core::obs::SharedCollector;
 use utlb_core::{CacheStats, LookupRates, OutcomeBuf, TranslationMechanism, TranslationStats};
+use utlb_mem::ProcessId;
 use utlb_nic::BoardSnapshot;
 use utlb_trace::{TraceRecord, TraceStream};
 
@@ -131,6 +132,7 @@ impl SimResult {
 pub(crate) fn replay_stream<M, S>(
     engine: &mut M,
     stream: &mut S,
+    pids: &[ProcessId],
     cfg: &SimConfig,
     obs: Option<&SharedCollector>,
     scratch: &mut SweepScratch,
@@ -141,7 +143,15 @@ where
 {
     let classifier = MissClassifier::new(cfg.cache_entries);
     let mut boards = [BoardSim::new(engine, Some(classifier), obs.cloned())];
-    let run = replay_trace(&mut boards, cfg.host_frames, stream, |_| 0, &[], scratch);
+    let run = replay_trace(
+        &mut boards,
+        cfg.host_frames,
+        stream,
+        pids,
+        |_| 0,
+        &[],
+        scratch,
+    );
     let result = boards[0].sim_result(&run.workload, &run.resident(0));
     (result, boards[0].board.snapshot())
 }

@@ -45,7 +45,6 @@
 //! into journaling).
 
 use serde::{Deserialize, Serialize};
-use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -66,60 +65,9 @@ pub const COST_MODEL_TAG: &str = match option_env!("UTLB_GIT_DESCRIBE") {
     None => concat!("utlb-sim-", env!("CARGO_PKG_VERSION")),
 };
 
-/// Where a sweep's worker count came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WorkerSource {
-    /// [`THREADS_ENV`] was set to a positive integer.
-    EnvOverride,
-    /// The machine's `available_parallelism` (or 1 when unknown).
-    AvailableParallelism,
-}
-
-impl fmt::Display for WorkerSource {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WorkerSource::EnvOverride => f.write_str("env-override"),
-            WorkerSource::AvailableParallelism => f.write_str("available-parallelism"),
-        }
-    }
-}
-
-impl Serialize for WorkerSource {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.to_string())
-    }
-}
-
-impl Deserialize for WorkerSource {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        match v.as_str() {
-            Some("env-override") => Ok(WorkerSource::EnvOverride),
-            Some("available-parallelism") => Ok(WorkerSource::AvailableParallelism),
-            other => Err(serde::DeError::custom(format!(
-                "expected worker source string, got {other:?}"
-            ))),
-        }
-    }
-}
-
-/// The resolved worker topology of a sweep: how many workers, and why.
-/// Archived in sweep JSON headers so results record the real topology the
-/// run used instead of assuming it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WorkerTopology {
-    /// Workers the sweep will use (clamped to the cell count, never 0).
-    pub workers: usize,
-    /// The resolved count before clamping to the cell count.
-    pub configured: usize,
-    /// The machine's `available_parallelism` (1 when unknown).
-    pub available_parallelism: usize,
-    /// Where `configured` came from.
-    pub source: WorkerSource,
-}
-
-/// Resolves the worker topology a sweep over `items` cells would use: the
-/// [`THREADS_ENV`] override if set to a positive integer, else the
-/// machine's available parallelism, clamped to the cell count (never 0).
+/// Number of workers a sweep over `items` cells uses: the [`THREADS_ENV`]
+/// override if set to a positive integer, else the machine's available
+/// parallelism, clamped to the cell count (never 0).
 ///
 /// Unparsable or zero overrides are ignored rather than fatal: an
 /// experiment run late in a batch script should degrade to the default,
@@ -128,8 +76,8 @@ pub struct WorkerTopology {
 /// The first resolution in a process logs the count and its source once
 /// via [`utlb_core::obs::note_once`], so batch logs record the real
 /// topology.
-pub fn worker_topology(items: usize) -> WorkerTopology {
-    let available_parallelism = std::thread::available_parallelism()
+pub fn worker_count(items: usize) -> usize {
+    let available = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
     let (configured, source) = match std::env::var(THREADS_ENV)
@@ -137,24 +85,13 @@ pub fn worker_topology(items: usize) -> WorkerTopology {
         .and_then(|s| s.trim().parse::<usize>().ok())
         .filter(|&n| n > 0)
     {
-        Some(n) => (n, WorkerSource::EnvOverride),
-        None => (available_parallelism, WorkerSource::AvailableParallelism),
+        Some(n) => (n, "env-override"),
+        None => (available, "available-parallelism"),
     };
     utlb_core::obs::note_once("sweep.workers", || {
-        format!("{configured} workers ({source}), available parallelism {available_parallelism}")
+        format!("{configured} workers ({source}), available parallelism {available}")
     });
-    WorkerTopology {
-        workers: configured.clamp(1, items.max(1)),
-        configured,
-        available_parallelism,
-        source,
-    }
-}
-
-/// Number of workers a sweep over `items` cells would use — see
-/// [`worker_topology`].
-pub fn worker_count(items: usize) -> usize {
-    worker_topology(items).workers
+    configured.clamp(1, items.max(1))
 }
 
 /// Sets the sweep poison flag if its thread unwinds: dropped during a
@@ -622,18 +559,6 @@ mod tests {
     }
 
     #[test]
-    fn topology_records_available_parallelism_and_source() {
-        let topo = worker_topology(1 << 20);
-        assert!(topo.available_parallelism >= 1);
-        assert!(topo.workers >= 1);
-        assert!(topo.configured >= topo.workers);
-        // Round-trips through the archive representation.
-        let json = serde_json::to_string(&topo).unwrap();
-        let back: WorkerTopology = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, topo);
-    }
-
-    #[test]
     fn scratch_is_per_worker_not_per_cell() {
         // Each worker's scratch counts the cells it executed; the number
         // of scratches built equals the worker count, not the cell count,
@@ -698,11 +623,24 @@ mod tests {
 
     #[test]
     fn a_panicking_cell_poisons_the_sweep_promptly() {
-        // 100 cells, 4 workers; the most expensive cell panics instantly,
-        // every other cell sleeps. Without the poison flag the other
-        // workers would grind through all 99 remaining cells before the
-        // panic propagates; with it, only the cells already in flight
-        // finish.
+        // 100 cells, 4 workers; the most expensive cell panics, every
+        // other cell sleeps. Without the poison flag the other workers
+        // would grind through all 99 remaining cells before the panic
+        // propagates; with it, only the cells already in flight finish.
+        //
+        // The panic hook runs before unwinding starts and may take long
+        // (with RUST_BACKTRACE=1 it captures and symbolizes a backtrace),
+        // so the other cells start their clock only once a drop guard in
+        // cell 17 shows that unwinding has begun; the worker's
+        // `PoisonOnPanic` fires right after it. The test then times the
+        // poison flag, not the hook.
+        struct Unwinding<'a>(&'a AtomicBool);
+        impl Drop for Unwinding<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Release);
+            }
+        }
+        let unwinding = AtomicBool::new(false);
         let computed = AtomicUsize::new(0);
         let grid: Vec<usize> = (0..100).collect();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -711,7 +649,11 @@ mod tests {
                 .workers(4)
                 .run(|&ix| {
                     if ix == 17 {
+                        let _guard = Unwinding(&unwinding);
                         panic!("cell 17 exploded");
+                    }
+                    while !unwinding.load(Ordering::Acquire) {
+                        std::thread::yield_now();
                     }
                     std::thread::sleep(std::time::Duration::from_millis(2));
                     computed.fetch_add(1, Ordering::Relaxed);

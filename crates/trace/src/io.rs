@@ -39,21 +39,37 @@ pub fn write_jsonl<W: Write>(trace: &Trace, mut w: W) -> io::Result<()> {
 ///
 /// # Errors
 ///
-/// Returns `io::Error` on malformed input, a missing header, or a record
-/// count that does not match the header.
+/// Returns `io::Error` on malformed input, a missing header, a record
+/// count that does not match the header, or records out of timestamp
+/// order.
 pub fn read_jsonl<R: BufRead>(r: R) -> io::Result<Trace> {
     let mut lines = r.lines();
     let header_line = lines
         .next()
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "empty trace file"))??;
     let header: Header = serde_json::from_str(&header_line)?;
-    let mut records = Vec::with_capacity(header.records as usize);
+    // The header's count is untrusted input: grow with the records
+    // actually read instead of preallocating from it.
+    let mut records: Vec<TraceRecord> = Vec::new();
     for line in lines {
         let line = line?;
         if line.trim().is_empty() {
             continue;
         }
         let rec: TraceRecord = serde_json::from_str(&line)?;
+        if let Some(prev) = records.last() {
+            if rec.ts_ns < prev.ts_ns {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "record {} at {} ns precedes the previous record at {} ns",
+                        records.len() + 1,
+                        rec.ts_ns,
+                        prev.ts_ns
+                    ),
+                ));
+            }
+        }
         records.push(rec);
     }
     if records.len() as u64 != header.records {
@@ -112,6 +128,33 @@ mod tests {
         let truncated: Vec<&str> = s.lines().collect();
         let shorter = truncated[..truncated.len() - 1].join("\n");
         assert!(read_jsonl(shorter.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn a_forged_record_count_is_an_error_not_an_allocation() {
+        let t = sample();
+        let mut buf = Vec::new();
+        write_jsonl(&t, &mut buf).unwrap();
+        let s = String::from_utf8(buf).unwrap();
+        for forged in [1u64 << 60, 1 << 40] {
+            let body = s.replacen("\"records\":10", &format!("\"records\":{forged}"), 1);
+            assert_ne!(body, s, "the header must carry the record count");
+            let err = read_jsonl(body.as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        }
+    }
+
+    #[test]
+    fn records_out_of_timestamp_order_are_an_error() {
+        let t = sample();
+        let mut buf = Vec::new();
+        write_jsonl(&t, &mut buf).unwrap();
+        let s = String::from_utf8(buf).unwrap();
+        let mut lines: Vec<&str> = s.lines().collect();
+        lines.swap(3, 4);
+        let err = read_jsonl(lines.join("\n").as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("precedes"), "{err}");
     }
 
     #[test]
