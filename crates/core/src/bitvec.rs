@@ -229,6 +229,42 @@ impl DenseBits {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
+    /// Indices of the set bits, ascending.
+    ///
+    /// Walks a word at a time: zero words cost one compare, and each set bit
+    /// is found with `trailing_zeros`, so a sparse vector is cheap to scan.
+    pub fn ones(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    w * 64 + b
+                })
+            })
+        })
+    }
+
+    /// Clears every set bit whose index `pred` accepts, in place, and
+    /// returns how many it cleared. Visits set bits only, like
+    /// [`DenseBits::ones`].
+    pub fn clear_where(&mut self, mut pred: impl FnMut(usize) -> bool) -> usize {
+        let mut cleared = 0;
+        for (w, word) in self.words.iter_mut().enumerate() {
+            let mut bits = *word;
+            while bits != 0 {
+                let b = bits.trailing_zeros();
+                bits &= bits - 1;
+                if pred(w * 64 + b as usize) {
+                    *word &= !(1u64 << b);
+                    cleared += 1;
+                }
+            }
+        }
+        cleared
+    }
+
     /// First clear bit in `start..end`, if any.
     ///
     /// # Panics
@@ -274,6 +310,34 @@ mod tests {
         assert_eq!(b.first_zero_in(0, 8), Some(4));
         assert_eq!(b.first_zero_in(0, 4), None);
         assert_eq!(b.first_zero_in(4, 4), None, "empty range has no zero");
+    }
+
+    #[test]
+    fn dense_bits_set_bit_walk_at_word_edges() {
+        for len in [0usize, 1, 63, 64, 65, 130] {
+            // Every third bit plus both ends, so each word edge is covered.
+            let mut b = DenseBits::zeros(len);
+            for ix in (0..len).filter(|ix| ix % 3 == 0 || *ix + 1 == len) {
+                b.set(ix);
+            }
+            let naive: Vec<usize> = (0..len).filter(|&ix| b.get(ix)).collect();
+            assert_eq!(b.ones().collect::<Vec<_>>(), naive, "len {len}");
+
+            // Clear the odd indices among them; the rest stay set.
+            let mut cleared = b.clone();
+            let n = cleared.clear_where(|ix| ix % 2 == 1);
+            assert_eq!(n, naive.iter().filter(|ix| *ix % 2 == 1).count());
+            let kept: Vec<usize> = naive.iter().copied().filter(|ix| ix % 2 == 0).collect();
+            assert_eq!(cleared.ones().collect::<Vec<_>>(), kept, "len {len}");
+            assert_eq!(cleared.count_ones(), kept.len());
+
+            // A full vector walks every index; clearing all empties it.
+            let mut full = DenseBits::zeros(len);
+            (0..len).for_each(|ix| full.set(ix));
+            assert!(full.ones().eq(0..len), "len {len}");
+            assert_eq!(full.clear_where(|_| true), len);
+            assert_eq!(full, DenseBits::zeros(len));
+        }
     }
 
     #[test]

@@ -15,6 +15,8 @@
 //! [`CostModel::intr_lookup_cost`].
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
+use std::ops::Deref;
 use utlb_nic::Nanos;
 
 /// Calibration points `(pages, cost)` with linear interpolation between
@@ -38,6 +40,70 @@ fn interpolate(points: &[(u64, f64)], n: u64) -> f64 {
     let slope = (y1 - y0) / (x1 - x0) as f64;
     y1 + slope * (n - x1) as f64
 }
+
+/// One calibration table of `(n, µs)` points, interpolated linearly.
+///
+/// The paper's tables are borrowed from statics, so building or cloning a
+/// default [`CostModel`] — which every engine does per miss-path lookup and
+/// every `Run` does on construction — allocates nothing; a custom table
+/// (built with `From<Vec<_>>`) is owned. Serializes as the plain array of
+/// points.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Points(Cow<'static, [(u64, f64)]>);
+
+impl Points {
+    /// A table borrowed from a static.
+    pub const fn table(points: &'static [(u64, f64)]) -> Self {
+        Points(Cow::Borrowed(points))
+    }
+}
+
+impl From<Vec<(u64, f64)>> for Points {
+    fn from(points: Vec<(u64, f64)>) -> Self {
+        Points(Cow::Owned(points))
+    }
+}
+
+impl Deref for Points {
+    type Target = [(u64, f64)];
+
+    fn deref(&self) -> &[(u64, f64)] {
+        &self.0
+    }
+}
+
+impl Serialize for Points {
+    fn to_value(&self) -> serde::Value {
+        self.0.to_value()
+    }
+}
+
+impl Deserialize for Points {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        Vec::from_value(v).map(Points::from)
+    }
+}
+
+/// Table 2 row 1: DMA of `entries` translation entries.
+const DMA_POINTS: &[(u64, f64)] = &[(1, 1.5), (2, 1.6), (4, 1.6), (8, 1.9), (16, 2.1), (32, 2.5)];
+/// Table 1: pinning `pages` in one call.
+const PIN_POINTS: &[(u64, f64)] = &[
+    (1, 27.0),
+    (2, 30.0),
+    (4, 36.0),
+    (8, 47.0),
+    (16, 70.0),
+    (32, 115.0),
+];
+/// Table 1: unpinning `pages` in one call.
+const UNPIN_POINTS: &[(u64, f64)] = &[
+    (1, 25.0),
+    (2, 30.0),
+    (4, 36.0),
+    (8, 50.0),
+    (16, 80.0),
+    (32, 139.0),
+];
 
 /// Per-lookup rates measured by a simulation run, fed to the cost formulas.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -83,11 +149,11 @@ pub struct CostModel {
     /// but factored out for the in-kernel (interrupt-handler) pin path.
     pub syscall_overhead_us: f64,
     /// DMA cost calibration points from Table 2 (`(entries, µs)`).
-    pub dma_points: Vec<(u64, f64)>,
+    pub dma_points: Points,
     /// Pin cost calibration points from Table 1 (`(pages, µs)`).
-    pub pin_points: Vec<(u64, f64)>,
+    pub pin_points: Points,
     /// Unpin cost calibration points from Table 1 (`(pages, µs)`).
-    pub unpin_points: Vec<(u64, f64)>,
+    pub unpin_points: Points,
 }
 
 impl Default for CostModel {
@@ -98,23 +164,9 @@ impl Default for CostModel {
             directory_ref_us: 0.3,
             interrupt_us: 10.0,
             syscall_overhead_us: 5.0,
-            dma_points: vec![(1, 1.5), (2, 1.6), (4, 1.6), (8, 1.9), (16, 2.1), (32, 2.5)],
-            pin_points: vec![
-                (1, 27.0),
-                (2, 30.0),
-                (4, 36.0),
-                (8, 47.0),
-                (16, 70.0),
-                (32, 115.0),
-            ],
-            unpin_points: vec![
-                (1, 25.0),
-                (2, 30.0),
-                (4, 36.0),
-                (8, 50.0),
-                (16, 80.0),
-                (32, 139.0),
-            ],
+            dma_points: Points::table(DMA_POINTS),
+            pin_points: Points::table(PIN_POINTS),
+            unpin_points: Points::table(UNPIN_POINTS),
         }
     }
 }
@@ -227,6 +279,27 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn calibration_tables_serialize_as_plain_arrays_and_round_trip() {
+        let m = CostModel::default();
+        let json = serde_json::to_string(&m).unwrap();
+        assert!(
+            json.contains("\"dma_points\":[[1,1.5],[2,1.6],[4,1.6],[8,1.9],[16,2.1],[32,2.5]]"),
+            "{json}"
+        );
+        let back: CostModel = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, m, "an owned table equals the borrowed one");
+
+        let custom = CostModel {
+            pin_points: vec![(1, 10.0), (4, 40.0)].into(),
+            ..CostModel::default()
+        };
+        assert_eq!(custom.pin_cost(2), 20.0);
+        let back: CostModel =
+            serde_json::from_str(&serde_json::to_string(&custom).unwrap()).unwrap();
+        assert_eq!(back, custom);
+    }
 
     #[test]
     fn interpolation_hits_calibration_points() {

@@ -81,10 +81,8 @@ impl HierTable {
     /// Propagates SRAM exhaustion.
     pub fn new(pid: ProcessId, sram: &mut Sram, garbage: PhysAddr) -> Result<Self> {
         let directory = sram.alloc(DIR_ENTRIES * 8).map_err(UtlbError::Nic)?;
-        for i in 0..DIR_ENTRIES {
-            sram.write_u64(directory.at(i * 8), encode(DirEntry::Empty))
-                .map_err(UtlbError::Nic)?;
-        }
+        sram.fill_u64(directory, encode(DirEntry::Empty))
+            .map_err(UtlbError::Nic)?;
         Ok(HierTable {
             pid,
             directory,
@@ -163,9 +161,7 @@ impl HierTable {
             DirEntry::Swapped(_) => panic!("swap-in must be performed before installing"),
             DirEntry::Empty => {
                 let frame = host.alloc_frame()?;
-                for i in 0..LEAF_ENTRIES {
-                    host.write_u64(frame.base().offset(i * 8), self.garbage.raw())?;
-                }
+                host.fill_frame_u64(frame, self.garbage.raw())?;
                 self.set_dir_entry(dir, DirEntry::Present(frame), sram)?;
                 Ok(frame)
             }
@@ -351,6 +347,47 @@ mod tests {
             DirEntry::Empty
         );
         assert_eq!(t.installed(), 0);
+    }
+
+    #[test]
+    fn new_leaf_matches_word_by_word_garbage_writes() {
+        let (mut host, mut sram, mut t) = setup();
+        let page = VirtPage::new(3 * LEAF_ENTRIES + 5);
+        t.install(page, PhysAddr::new(0x42_000), &mut host, &mut sram)
+            .unwrap();
+        let DirEntry::Present(frame) = t.dir_entry(page, &sram).unwrap() else {
+            panic!("install materializes the leaf");
+        };
+        let mut expect = PhysicalMemory::new(256);
+        for i in 0..LEAF_ENTRIES {
+            expect
+                .write_u64(frame.base().offset(i * 8), GARBAGE.raw())
+                .unwrap();
+        }
+        expect
+            .write_u64(frame.base().offset(5 * 8), 0x42_000)
+            .unwrap();
+        let (mut got, mut want) = (vec![0u8; 4096], vec![0u8; 4096]);
+        host.read(frame.base(), &mut got).unwrap();
+        expect.read(frame.base(), &mut want).unwrap();
+        assert_eq!(got, want);
+        assert_eq!(host.resident_frames(), 1, "one leaf, one frame");
+    }
+
+    #[test]
+    fn fresh_directory_reads_empty_in_every_slot() {
+        // Leave junk where the directory will go: the fill must clear it.
+        let mut sram = Sram::new(1 << 20);
+        let junk = vec![0xFFu8; (DIR_ENTRIES * 8) as usize];
+        sram.write(utlb_nic::SramAddr::new(0), &junk).unwrap();
+        let t = HierTable::new(ProcessId::new(1), &mut sram, GARBAGE).unwrap();
+        for dir in 0..DIR_ENTRIES {
+            assert_eq!(
+                t.dir_entry(VirtPage::new(dir * LEAF_ENTRIES), &sram)
+                    .unwrap(),
+                DirEntry::Empty
+            );
+        }
     }
 
     #[test]

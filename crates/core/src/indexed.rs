@@ -19,6 +19,7 @@ use crate::lookup::{UserLookupTree, UtlbIndex};
 use crate::obs::{Event, EvictReason, Probe, ProbeSlot};
 use crate::pincore::{aggregate, charge_us, PinCore};
 use crate::policy::Policy;
+use crate::table::FreeSlots;
 use crate::{
     CacheConfig, CacheStats, CostModel, LookupBatch, OutcomeBuf, PageOutcome, Result,
     SharedUtlbCache, TranslationMechanism, TranslationStats, UtlbError,
@@ -61,7 +62,7 @@ struct ProcState {
     tree: UserLookupTree,
     /// Which vpn occupies each slot (for eviction bookkeeping).
     slot_owner: HashMap<u32, VirtPage>,
-    free: Vec<u32>,
+    free: FreeSlots,
     core: PinCore,
 }
 
@@ -156,14 +157,19 @@ impl TranslationMechanism for IndexedEngine {
         }
         let frames_needed = self.cfg.table_entries.div_ceil(ENTRIES_PER_FRAME);
         let garbage = host.driver().garbage_addr();
+        let phys = host.physical_mut();
         let mut table_frames = Vec::with_capacity(frames_needed);
-        for _ in 0..frames_needed {
-            let f = host.physical_mut().alloc_frame()?;
-            for i in 0..ENTRIES_PER_FRAME {
-                host.physical_mut()
-                    .write_u64(f.base().offset(i as u64 * 8), garbage.raw())?;
-            }
+        let built = (0..frames_needed).try_for_each(|_| {
+            let f = phys.alloc_frame()?;
             table_frames.push(f);
+            phys.fill_frame_u64(f, garbage.raw())
+        });
+        if let Err(e) = built {
+            // Out of DRAM partway through: hand back what was taken.
+            for f in table_frames {
+                phys.free_frame(f);
+            }
+            return Err(e.into());
         }
         self.procs.insert(
             pid,
@@ -171,7 +177,7 @@ impl TranslationMechanism for IndexedEngine {
                 table_frames,
                 tree: UserLookupTree::new(),
                 slot_owner: HashMap::new(),
-                free: (0..self.cfg.table_entries as u32).rev().collect(),
+                free: FreeSlots::new(self.cfg.table_entries),
                 core: PinCore::new(self.cfg.policy, self.cfg.seed, pid),
             },
         );
@@ -561,6 +567,75 @@ mod tests {
         assert!(engine
             .unregister_process(&mut host, &mut board, pid)
             .is_err());
+    }
+
+    #[test]
+    fn failed_registration_returns_its_frames() {
+        // The garbage frame plus two free frames: an 8 K-entry table needs
+        // sixteen, so registration runs out of DRAM partway through.
+        let mut host = Host::new(3);
+        let mut board = Board::new();
+        let mut engine = IndexedEngine::new(IndexedConfig::default());
+        let pid = host.spawn_process();
+        let free_before = host.physical().allocator().free_frames();
+        let resident_before = host.physical().resident_frames();
+        assert!(matches!(
+            engine.register_process(&mut host, &mut board, pid),
+            Err(UtlbError::Mem(utlb_mem::MemError::OutOfFrames))
+        ));
+        assert_eq!(host.physical().allocator().free_frames(), free_before);
+        assert_eq!(host.physical().resident_frames(), resident_before);
+        assert!(
+            !engine.registered(pid),
+            "a failed registration leaves no state"
+        );
+
+        // The same engine registers fine once the host has room.
+        let mut big = Host::new(64);
+        let pid = big.spawn_process();
+        engine.register_process(&mut big, &mut board, pid).unwrap();
+        let o = engine
+            .lookup_page(&mut big, &mut board, pid, VirtPage::new(0))
+            .unwrap();
+        assert!(o.check_miss && o.ni_miss);
+    }
+
+    #[test]
+    fn fresh_table_matches_word_by_word_garbage_writes() {
+        let (host, _board, engine, pid) = setup(1000, 32);
+        let state = &engine.procs[&pid];
+        assert_eq!(state.table_frames.len(), 2);
+        let garbage = host.driver().garbage_addr().raw();
+        for &f in &state.table_frames {
+            for i in 0..ENTRIES_PER_FRAME as u64 {
+                let word = host.physical().read_u64(f.base().offset(i * 8)).unwrap();
+                assert_eq!(word, garbage, "frame {f} word {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn slots_are_handed_out_ascending_then_recycled_last_in_first_out() {
+        let (mut host, mut board, mut engine, pid) = setup(4, 64);
+        let slot_of = |engine: &IndexedEngine, page: u64| {
+            engine.procs[&pid]
+                .slot_owner
+                .iter()
+                .find(|(_, p)| p.number() == page)
+                .map(|(s, _)| *s)
+        };
+        for page in 0..4 {
+            engine
+                .lookup_page(&mut host, &mut board, pid, VirtPage::new(page))
+                .unwrap();
+            assert_eq!(slot_of(&engine, page), Some(page as u32));
+        }
+        // LRU evicts page 0 and its slot 0 is reused at once.
+        engine
+            .lookup_page(&mut host, &mut board, pid, VirtPage::new(10))
+            .unwrap();
+        assert_eq!(slot_of(&engine, 0), None);
+        assert_eq!(slot_of(&engine, 10), Some(0));
     }
 
     #[test]

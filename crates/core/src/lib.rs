@@ -88,7 +88,7 @@ mod table;
 pub use batch::{LookupBatch, OutcomeBuf};
 pub use bitvec::{CheckOutcome, DenseBits, PinBitVector};
 pub use cache::{Associativity, CacheConfig, CacheStats, Evicted, SharedUtlbCache};
-pub use cost::{CostModel, LookupRates};
+pub use cost::{CostModel, LookupRates, Points};
 pub use demand::{page_demands, page_demands_into, PageDemand};
 pub use engine::{UtlbConfig, UtlbConfigBuilder, UtlbEngine};
 pub use error::UtlbError;

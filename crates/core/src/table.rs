@@ -17,13 +17,60 @@ use crate::{Result, UtlbError};
 use utlb_mem::{PhysAddr, ProcessId};
 use utlb_nic::{Sram, SramRegion};
 
+/// The free slots of a fixed-size translation table.
+///
+/// Slots never handed out are a bump cursor over `next..capacity`; only
+/// slots given back are stored, in a stack. Recycled slots come out first,
+/// last in first out, then fresh slots in ascending order — the order a
+/// `Vec` of every slot in descending order yields under `pop`/`push`, built
+/// here without touching a word per slot at registration.
+#[derive(Debug)]
+pub(crate) struct FreeSlots {
+    next: u32,
+    capacity: u32,
+    recycled: Vec<u32>,
+}
+
+impl FreeSlots {
+    /// All `capacity` slots free.
+    pub(crate) fn new(capacity: usize) -> Self {
+        let capacity = u32::try_from(capacity).expect("table capacity fits a u32 index");
+        FreeSlots {
+            next: 0,
+            capacity,
+            recycled: Vec::new(),
+        }
+    }
+
+    /// Number of free slots.
+    pub(crate) fn len(&self) -> usize {
+        self.recycled.len() + (self.capacity - self.next) as usize
+    }
+
+    /// Takes a free slot: the last one given back, else the lowest fresh one.
+    pub(crate) fn pop(&mut self) -> Option<u32> {
+        if let Some(slot) = self.recycled.pop() {
+            return Some(slot);
+        }
+        (self.next < self.capacity).then(|| {
+            self.next += 1;
+            self.next - 1
+        })
+    }
+
+    /// Gives `slot` back.
+    pub(crate) fn push(&mut self, slot: u32) {
+        self.recycled.push(slot);
+    }
+}
+
 /// A per-process translation table resident in NIC SRAM.
 #[derive(Debug)]
 pub struct PerProcessTable {
     pid: ProcessId,
     region: SramRegion,
     capacity: usize,
-    free: Vec<u32>,
+    free: FreeSlots,
     garbage: PhysAddr,
 }
 
@@ -42,15 +89,13 @@ impl PerProcessTable {
         garbage: PhysAddr,
     ) -> Result<Self> {
         let region = sram.alloc(capacity as u64 * 8).map_err(UtlbError::Nic)?;
-        for i in 0..capacity {
-            sram.write_u64(region.at(i as u64 * 8), garbage.raw())
-                .map_err(UtlbError::Nic)?;
-        }
+        sram.fill_u64(region, garbage.raw())
+            .map_err(UtlbError::Nic)?;
         Ok(PerProcessTable {
             pid,
             region,
             capacity,
-            free: (0..capacity as u32).rev().collect(),
+            free: FreeSlots::new(capacity),
             garbage,
         })
     }
@@ -129,6 +174,7 @@ impl PerProcessTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn setup(capacity: usize) -> (Sram, PerProcessTable) {
         let mut sram = Sram::new(1 << 16);
@@ -178,6 +224,39 @@ mod tests {
         assert!(t.alloc_slot().is_none());
         t.evict(a, &mut sram).unwrap();
         assert_eq!(t.alloc_slot(), Some(a));
+    }
+
+    proptest! {
+        /// Random alloc/give-back sequences pick the same slot each time in
+        /// the bump-plus-stack list as in the slot list tables kept before
+        /// it — every slot in a `Vec`, highest first, so `pop` yields the
+        /// lowest — both for the bare list (as `IndexedEngine` holds it)
+        /// and through a table.
+        #[test]
+        fn free_slots_match_the_reversed_vec(
+            capacity in 0u32..70,
+            ops in proptest::collection::vec((any::<bool>(), any::<u32>()), 0..300),
+        ) {
+            let mut model: Vec<u32> = (0..capacity).rev().collect();
+            let mut slots = FreeSlots::new(capacity as usize);
+            let (mut sram, mut table) = setup(capacity as usize);
+            let mut held: Vec<u32> = Vec::new();
+            for (alloc, pick) in ops {
+                if alloc || held.is_empty() {
+                    let want = model.pop();
+                    prop_assert_eq!(slots.pop(), want);
+                    prop_assert_eq!(table.alloc_slot().map(|ix| ix.0), want);
+                    held.extend(want);
+                } else {
+                    let slot = held.swap_remove(pick as usize % held.len());
+                    model.push(slot);
+                    slots.push(slot);
+                    table.evict(UtlbIndex(slot), &mut sram).unwrap();
+                }
+                prop_assert_eq!(slots.len(), model.len());
+                prop_assert_eq!(table.free_slots(), model.len());
+            }
+        }
     }
 
     #[test]

@@ -224,3 +224,90 @@ proptest! {
         }
     }
 }
+
+/// Drives `ops` — `(pid, vpn)` pairs filled on miss — into both caches,
+/// then removes each process in turn, comparing the lines dropped and the
+/// lines left after every exit.
+fn exit_every_process(cfg: CacheConfig, ops: &[(u32, u64)]) {
+    let mut flat = SharedUtlbCache::new(cfg);
+    let mut reference = RefCache::new(cfg);
+    for &(pid_raw, vpn) in ops {
+        let (pid, page) = (ProcessId::new(pid_raw), VirtPage::new(vpn));
+        let phys = PhysAddr::new((u64::from(pid_raw) << 32) | (vpn << 12));
+        let got = flat.lookup(pid, page);
+        assert_eq!(got, reference.lookup(pid, page));
+        if got.is_none() {
+            assert_eq!(
+                flat.insert(pid, page, phys),
+                reference.insert(pid, page, phys)
+            );
+        }
+    }
+    assert_eq!(flat.occupancy(), reference.occupancy());
+    for pid_raw in 0..5 {
+        let pid = ProcessId::new(pid_raw);
+        assert_eq!(
+            flat.invalidate_process(pid),
+            reference.invalidate_process(pid)
+        );
+        assert_eq!(flat.occupancy(), reference.occupancy());
+        assert_eq!(flat.occupancy_for(pid), 0);
+        for &(other, vpn) in ops {
+            let (other, page) = (ProcessId::new(other), VirtPage::new(vpn));
+            let six = reference.set_index(other, page);
+            let expect = reference.sets[six]
+                .iter()
+                .flatten()
+                .find(|l| l.pid == other && l.vpn == vpn)
+                .map(|l| l.phys);
+            assert_eq!(flat.peek(other, page), expect);
+        }
+    }
+    assert_eq!(flat.occupancy(), 0);
+}
+
+#[test]
+fn invalidate_process_matches_reference_on_a_sparse_cache() {
+    // A handful of lines scattered through the paper's 8 K-entry cache:
+    // most validity words are zero.
+    let ops: Vec<(u32, u64)> = (0..12u64).map(|i| (1 + (i % 3) as u32, i * 677)).collect();
+    for assoc in Associativity::ALL {
+        for offsetting in [false, true] {
+            exit_every_process(
+                CacheConfig {
+                    entries: 8192,
+                    associativity: assoc,
+                    offsetting,
+                },
+                &ops,
+            );
+        }
+    }
+}
+
+#[test]
+fn invalidate_process_matches_reference_on_a_full_cache() {
+    // Pages 0..entries with no offsetting fill every way of every set, so
+    // every validity word is all ones; the owners interleave so each exit
+    // clears scattered bits within each word.
+    for (entries, assoc) in [
+        (8192, Associativity::Direct),
+        (130, Associativity::TwoWay),
+        (64, Associativity::FourWay),
+    ] {
+        let cfg = CacheConfig {
+            entries,
+            associativity: assoc,
+            offsetting: false,
+        };
+        let ops: Vec<(u32, u64)> = (0..entries as u64)
+            .map(|vpn| (1 + (vpn % 4) as u32, vpn))
+            .collect();
+        let mut full = SharedUtlbCache::new(cfg);
+        for &(p, vpn) in &ops {
+            full.insert(ProcessId::new(p), VirtPage::new(vpn), PhysAddr::new(vpn));
+        }
+        assert_eq!(full.occupancy(), entries, "the cache is full");
+        exit_every_process(cfg, &ops);
+    }
+}

@@ -108,6 +108,22 @@ impl PhysicalMemory {
         Ok(())
     }
 
+    /// Fills all of `frame` with the little-endian word `value`.
+    ///
+    /// The bulk form of writing `value` to each of the frame's 512 words:
+    /// one filled page replaces whatever the frame held, with one map
+    /// entry.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemError::PhysOutOfRange`] if the frame lies beyond DRAM.
+    pub fn fill_frame_u64(&mut self, frame: FrameId, value: u64) -> Result<()> {
+        self.check_range(frame.base(), PAGE_SIZE as usize)?;
+        let page = value.to_le_bytes().repeat(PAGE_SIZE as usize / 8);
+        self.data.insert(frame.number(), page.into_boxed_slice());
+        Ok(())
+    }
+
     /// Reads a little-endian `u64` at `addr` (used by page-table walkers).
     ///
     /// # Errors
@@ -197,5 +213,68 @@ mod tests {
         let mut b = [0xFFu8; 1];
         mem.read(f2.base(), &mut b).unwrap();
         assert_eq!(b[0], 0, "recycled frame reads as zero");
+    }
+
+    /// The same frame filled word by word with `write_u64`, the way
+    /// translation tables were initialized before the bulk fill existed.
+    fn filled_word_by_word(frame: FrameId, value: u64) -> Vec<u8> {
+        let mut mem = PhysicalMemory::new(frame.number() + 1);
+        for i in 0..PAGE_SIZE / 8 {
+            mem.write_u64(frame.base().offset(i * 8), value).unwrap();
+        }
+        let mut out = vec![0u8; PAGE_SIZE as usize];
+        mem.read(frame.base(), &mut out).unwrap();
+        out
+    }
+
+    #[test]
+    fn fill_frame_matches_word_by_word_writes() {
+        let value = 0x0000_0000_00BA_D000;
+        let mut mem = PhysicalMemory::new(4);
+        let f = FrameId::new(2);
+        mem.fill_frame_u64(f, value).unwrap();
+        let mut back = vec![0u8; PAGE_SIZE as usize];
+        mem.read(f.base(), &mut back).unwrap();
+        assert_eq!(back, filled_word_by_word(f, value));
+        assert_eq!(mem.read_u64(f.base().offset(8 * 511)).unwrap(), value);
+        // Neighbours are untouched.
+        assert_eq!(mem.read_u64(FrameId::new(1).base()).unwrap(), 0);
+        assert_eq!(mem.read_u64(FrameId::new(3).base()).unwrap(), 0);
+    }
+
+    #[test]
+    fn fill_frame_overwrites_a_dirty_recycled_frame() {
+        let mut mem = PhysicalMemory::new(4);
+        let f = mem.alloc_frame().unwrap();
+        mem.write(f.base(), &[0xEE; PAGE_SIZE as usize]).unwrap();
+        mem.free_frame(f);
+        let again = mem.alloc_frame().unwrap();
+        assert_eq!(f, again, "lowest frame is reused");
+        // Dirty it again while allocated, then fill over the old bytes.
+        mem.write(again.base().offset(100), b"stale").unwrap();
+        mem.fill_frame_u64(again, 0x1122_3344_5566_7788).unwrap();
+        let mut back = vec![0u8; PAGE_SIZE as usize];
+        mem.read(again.base(), &mut back).unwrap();
+        assert_eq!(back, filled_word_by_word(again, 0x1122_3344_5566_7788));
+    }
+
+    #[test]
+    fn fill_frame_materializes_exactly_one_frame() {
+        let mut mem = PhysicalMemory::new(8);
+        // Even an all-zero fill materializes the frame, as word writes do.
+        mem.fill_frame_u64(FrameId::new(5), 0).unwrap();
+        assert_eq!(mem.resident_frames(), 1);
+        mem.fill_frame_u64(FrameId::new(5), 7).unwrap();
+        assert_eq!(mem.resident_frames(), 1, "a refill reuses the frame");
+    }
+
+    #[test]
+    fn fill_frame_out_of_range_rejected() {
+        let mut mem = PhysicalMemory::new(2);
+        assert!(matches!(
+            mem.fill_frame_u64(FrameId::new(2), 1),
+            Err(MemError::PhysOutOfRange { .. })
+        ));
+        assert_eq!(mem.resident_frames(), 0);
     }
 }

@@ -29,8 +29,9 @@ pub struct PinStats {
 /// it.
 #[derive(Debug, Default)]
 pub struct PinRegistry {
-    counts: HashMap<(ProcessId, u64), u32>,
-    per_process: HashMap<ProcessId, u64>,
+    /// Pin refcount of each pinned page, grouped by process so an exit
+    /// drops its own pages without visiting anyone else's.
+    counts: HashMap<ProcessId, HashMap<u64, u32>>,
     limits: HashMap<ProcessId, u64>,
     stats: PinStats,
 }
@@ -60,17 +61,21 @@ impl PinRegistry {
 
     /// Number of distinct pages currently pinned by `pid`.
     pub fn pinned_pages(&self, pid: ProcessId) -> u64 {
-        self.per_process.get(&pid).copied().unwrap_or(0)
+        self.counts.get(&pid).map_or(0, |pages| pages.len() as u64)
     }
 
     /// Whether `page` of `pid` is currently pinned.
     pub fn is_pinned(&self, pid: ProcessId, page: VirtPage) -> bool {
-        self.counts.contains_key(&(pid, page.number()))
+        self.pin_count(pid, page) > 0
     }
 
     /// Current pin reference count of `page`.
     pub fn pin_count(&self, pid: ProcessId, page: VirtPage) -> u32 {
-        self.counts.get(&(pid, page.number())).copied().unwrap_or(0)
+        self.counts
+            .get(&pid)
+            .and_then(|pages| pages.get(&page.number()))
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Whether `pid` can pin `extra` more *new* pages without violating its
@@ -90,18 +95,16 @@ impl PinRegistry {
     /// exceed the process limit; re-pinning an already-pinned page never
     /// fails.
     pub fn pin(&mut self, pid: ProcessId, page: VirtPage) -> Result<()> {
-        let key = (pid, page.number());
-        if let Some(cnt) = self.counts.get_mut(&key) {
+        let pages = self.counts.entry(pid).or_default();
+        if let Some(cnt) = pages.get_mut(&page.number()) {
             *cnt += 1;
+        } else if let Some(&limit) = self.limits.get(&pid).filter(|&&l| pages.len() as u64 >= l) {
+            return Err(MemError::PinLimitExceeded {
+                pid,
+                limit_pages: limit,
+            });
         } else {
-            if !self.can_pin(pid, 1) {
-                return Err(MemError::PinLimitExceeded {
-                    pid,
-                    limit_pages: self.limits[&pid],
-                });
-            }
-            self.counts.insert(key, 1);
-            *self.per_process.entry(pid).or_insert(0) += 1;
+            pages.insert(page.number(), 1);
         }
         self.stats.pin_ops += 1;
         Ok(())
@@ -113,20 +116,12 @@ impl PinRegistry {
     ///
     /// Returns [`MemError::NotPinned`] if the page has no outstanding pin.
     pub fn unpin(&mut self, pid: ProcessId, page: VirtPage) -> Result<()> {
-        let key = (pid, page.number());
-        match self.counts.get_mut(&key) {
-            Some(cnt) if *cnt > 1 => {
-                *cnt -= 1;
-            }
-            Some(_) => {
-                self.counts.remove(&key);
-                let per = self
-                    .per_process
-                    .get_mut(&pid)
-                    .expect("per-process count exists while pages are pinned");
-                *per -= 1;
-            }
-            None => return Err(MemError::NotPinned { pid, page }),
+        let not_pinned = || MemError::NotPinned { pid, page };
+        let pages = self.counts.get_mut(&pid).ok_or_else(not_pinned)?;
+        let cnt = pages.get_mut(&page.number()).ok_or_else(not_pinned)?;
+        *cnt -= 1;
+        if *cnt == 0 {
+            pages.remove(&page.number());
         }
         self.stats.unpin_ops += 1;
         Ok(())
@@ -149,8 +144,7 @@ impl PinRegistry {
 
     /// Releases every pin belonging to `pid` (process exit).
     pub fn release_process(&mut self, pid: ProcessId) {
-        self.counts.retain(|(p, _), _| *p != pid);
-        self.per_process.remove(&pid);
+        self.counts.remove(&pid);
         self.limits.remove(&pid);
     }
 }

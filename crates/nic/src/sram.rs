@@ -175,6 +175,28 @@ impl Sram {
     pub fn write_u64(&mut self, addr: SramAddr, value: u64) -> Result<()> {
         self.write(addr, &value.to_le_bytes())
     }
+
+    /// Fills every 8-byte word of `region` with the little-endian `value`
+    /// (a trailing partial word takes the leading bytes of `value`).
+    ///
+    /// The bulk form of one `write_u64` per word: how firmware tables are
+    /// initialized with the garbage address or an empty directory entry.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NicError::SramOutOfRange`] if the region exceeds SRAM.
+    pub fn fill_u64(&mut self, region: SramRegion, value: u64) -> Result<()> {
+        self.check(region.base, region.len as usize)?;
+        let start = region.base.0 as usize;
+        let word = value.to_le_bytes();
+        let mut words = self.data[start..start + region.len as usize].chunks_exact_mut(word.len());
+        for chunk in &mut words {
+            chunk.copy_from_slice(&word);
+        }
+        let tail = words.into_remainder();
+        tail.copy_from_slice(&word[..tail.len()]);
+        Ok(())
+    }
 }
 
 impl Default for Sram {
@@ -216,6 +238,45 @@ mod tests {
             sram.read(SramAddr::new(6), &mut buf),
             Err(NicError::SramOutOfRange { .. })
         ));
+    }
+
+    #[test]
+    fn fill_matches_word_by_word_writes() {
+        let value = 0x0000_0000_00BA_D000;
+        let mut filled = Sram::new(256);
+        let mut written = Sram::new(256);
+        for sram in [&mut filled, &mut written] {
+            sram.alloc(8).unwrap();
+        }
+        let r = filled.alloc(64).unwrap();
+        written.alloc(64).unwrap();
+        filled.fill_u64(r, value).unwrap();
+        for i in 0..8 {
+            written.write_u64(r.at(i * 8), value).unwrap();
+        }
+        assert_eq!(filled.data, written.data, "only the region changes");
+        assert_eq!(filled.read_u64(r.at(56)).unwrap(), value);
+
+        // A trailing partial word takes the value's leading bytes.
+        let odd = filled.alloc(12).unwrap();
+        filled.fill_u64(odd, 0x0807_0605_0403_0201).unwrap();
+        let mut back = [0u8; 13];
+        filled.read(odd.base(), &mut back).unwrap();
+        assert_eq!(back, [1, 2, 3, 4, 5, 6, 7, 8, 1, 2, 3, 4, 0]);
+    }
+
+    #[test]
+    fn fill_out_of_bounds_region_rejected() {
+        let mut sram = Sram::new(64);
+        let beyond = SramRegion {
+            base: SramAddr::new(32),
+            len: 40,
+        };
+        assert!(matches!(
+            sram.fill_u64(beyond, 1),
+            Err(NicError::SramOutOfRange { .. })
+        ));
+        assert!(sram.data.iter().all(|&b| b == 0), "nothing was written");
     }
 
     #[test]

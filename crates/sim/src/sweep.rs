@@ -798,6 +798,78 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Each way a journal entry can be damaged on disk, as file contents
+    /// built from the entry's full key and its intact body.
+    fn damaged_entries(key: &str, body: &str) -> Vec<String> {
+        let key = serde_json::to_string(&key.to_string()).unwrap();
+        vec![
+            // Truncated mid-write.
+            body[..body.len() / 2].to_string(),
+            // Not JSON at all.
+            "this is not a journal entry \u{0} {".to_string(),
+            // Empty.
+            String::new(),
+            // The right key, a value of the wrong type.
+            format!("{{\"key\": {key}, \"value\": \"text\"}}"),
+            // The right key, a value with an element of the wrong type.
+            format!("{{\"key\": {key}, \"value\": [1, \"x\"]}}"),
+            // The right key, no value.
+            format!("{{\"key\": {key}}}"),
+            // Not an object.
+            format!("[{key}, [1, 2]]"),
+        ]
+    }
+
+    #[test]
+    fn damaged_journal_entries_recompute_to_the_unjournaled_output() {
+        let dir = temp_journal_dir("damaged");
+        let grid: Vec<u64> = (0..10).collect();
+        let key = |&ix: &u64| format!("cell={ix}");
+        let cell = |&ix: &u64| vec![ix, ix * ix, 7];
+        let plain = serde_json::to_string(&SweepGrid::over(&grid).workers(1).run(cell)).unwrap();
+
+        // Journal every cell, then damage one entry per way, one way per
+        // cell.
+        SweepGrid::over(&grid)
+            .workers(1)
+            .checkpoint_at(&dir, "unit", key)
+            .run(cell);
+        let kinds = damaged_entries("", "").len();
+        for ix in 0..kinds {
+            let full = format!("unit|cell={ix}|{COST_MODEL_TAG}");
+            let path = dir.join(format!("{:016x}.json", fnv1a(full.as_bytes())));
+            let intact = std::fs::read_to_string(&path).unwrap();
+            let text = damaged_entries(&full, &intact).swap_remove(ix);
+            std::fs::write(&path, text).unwrap();
+        }
+
+        // Every damaged cell recomputes, the rest replay, and the output
+        // is byte-identical to the run that never journaled.
+        for workers in [1, 3] {
+            let recomputed = std::sync::Mutex::new(Vec::new());
+            let out = SweepGrid::over(&grid)
+                .workers(workers)
+                .checkpoint_at(&dir, "unit", key)
+                .run(|ix| {
+                    recomputed.lock().unwrap().push(*ix);
+                    cell(ix)
+                });
+            assert_eq!(serde_json::to_string(&out).unwrap(), plain);
+            let mut recomputed = recomputed.into_inner().unwrap();
+            recomputed.sort_unstable();
+            if workers == 1 {
+                let want: Vec<u64> = (0..kinds as u64).collect();
+                assert_eq!(recomputed, want, "exactly the damaged cells recompute");
+            } else {
+                assert!(
+                    recomputed.is_empty(),
+                    "the recomputed cells were rejournaled"
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn checkpoint_env_unset_means_no_journal() {
         // `checkpoint` (env-driven) with the variable unset must not

@@ -50,6 +50,15 @@ gate -p utlb-core intr::
 gate -p utlb-core indexed::
 gate -p utlb-sim ablations::
 
+echo "== registration and teardown: bulk garbage fill, slot lists, word-scan invalidation"
+gate -p utlb-core --test cache_reference
+gate -p utlb-mem phys::
+gate -p utlb-mem pin::
+gate -p utlb-nic sram::
+gate -p utlb-core table::
+gate -p utlb-core hier::
+gate -p utlb-core bitvec::
+
 echo "== observability: no-op probe overhead guard (<10%)"
 cargo run -q --release --offline -p utlb-bench --bin obs_guard -- --scale 0.3
 
